@@ -24,6 +24,10 @@ from repro.hardware.presets import paper_device
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
+#: Untracked home of wall-clock tables: timings differ on every run, so
+#: they never go into the tracked tables under ``RESULTS_DIR``.
+TIMINGS_DIR = Path(__file__).parent.parent / ".bench_run" / "timings"
+
 #: Paper-scale workloads of Figs. 8-10: benchmark name -> topologies.
 FULL_WORKLOADS: dict[str, tuple[str, ...]] = {
     "qft_24": ("S-4", "L-6", "G-2x2", "G-2x3", "G-3x3"),
@@ -59,6 +63,14 @@ def save_table(name: str, text: str) -> Path:
     """Write one artefact's text table under ``benchmarks/results/``."""
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     path = RESULTS_DIR / f"{name}.txt"
+    path.write_text(text + "\n")
+    return path
+
+
+def save_timings(name: str, text: str) -> Path:
+    """Write one artefact's wall-clock table under ``.bench_run/timings/``."""
+    TIMINGS_DIR.mkdir(parents=True, exist_ok=True)
+    path = TIMINGS_DIR / f"{name}.txt"
     path.write_text(text + "\n")
     return path
 

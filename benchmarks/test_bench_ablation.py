@@ -3,13 +3,14 @@
 DESIGN.md calls out several design choices (lookahead, decay, the
 mountain intra-trap ordering, the shuttle-vs-SWAP weight separation).
 This harness quantifies each one's contribution on a serial
-(Cuccaro adder) and a long-range (QFT) workload, writing the table to
-``benchmarks/results/ablation.txt``.
+(Cuccaro adder) and a long-range (QFT) workload, writing the
+deterministic table to ``benchmarks/results/ablation.txt`` and the
+per-variant compile times to the untracked ``.bench_run/timings/``.
 """
 
 from __future__ import annotations
 
-from bench_common import full_scale, save_table
+from bench_common import full_scale, save_table, save_timings
 
 from repro.analysis.ablation import ablation_summary, run_ablation
 from repro.analysis.reporting import format_table
@@ -32,20 +33,19 @@ def test_ablation_of_design_choices(benchmark) -> None:
 
     text = format_table(
         rows,
-        columns=[
-            "circuit",
-            "variant",
-            "shuttles",
-            "swaps",
-            "success_rate",
-            "execution_time_us",
-            "compile_time_s",
-        ],
+        columns=["circuit", "variant", "shuttles", "swaps", "success_rate", "execution_time_us"],
         title="Ablation — contribution of each design ingredient (G-2x3)",
         float_format="{:.3e}",
     )
     save_table("ablation", text)
-    print("\n" + text)
+    timings = format_table(
+        rows,
+        columns=["circuit", "variant", "compile_time_s"],
+        title="Ablation — compile time (s) per variant (G-2x3)",
+        float_format="{:.3e}",
+    )
+    save_timings("ablation", timings)
+    print("\n" + text + "\n\n" + timings)
 
     for name, summary in summaries.items():
         # Removing the lookahead should never reduce the shuttle count on

@@ -372,6 +372,8 @@ class CompileTimeRecord:
     circuit: str
     application_size: int
     compile_time_s: float
+    generic_swap_iterations: int = 0
+    candidate_evaluations: int = 0
 
     def as_dict(self) -> dict[str, object]:
         """Flat dictionary for reporting."""
@@ -380,6 +382,8 @@ class CompileTimeRecord:
             "circuit": self.circuit,
             "application_size": self.application_size,
             "compile_time_s": self.compile_time_s,
+            "generic_swap_iterations": self.generic_swap_iterations,
+            "candidate_evaluations": self.candidate_evaluations,
         }
 
 
@@ -445,6 +449,8 @@ def compile_time_sweep(
             circuit=str(row["circuit"]),
             application_size=int(row["value"]),  # type: ignore[arg-type]
             compile_time_s=float(row["compile_time_s"]),  # type: ignore[arg-type]
+            generic_swap_iterations=int(row["generic_swap_iterations"]),  # type: ignore[arg-type]
+            candidate_evaluations=int(row["candidate_evaluations"]),  # type: ignore[arg-type]
         )
         for row in rows
     ]

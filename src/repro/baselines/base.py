@@ -36,7 +36,7 @@ from repro.core.state import DeviceState
 from repro.exceptions import SchedulingError
 from repro.hardware.device import QCCDDevice
 from repro.pipeline import CompilerPipeline, MetricsPass, Pass, PassContext
-from repro.schedule.operations import GateOperation, ShuttleOperation, SwapOperation
+from repro.schedule.operations import KIND_CODE_GATE_1Q, KIND_CODE_GATE_2Q
 from repro.schedule.schedule import Schedule
 
 
@@ -187,33 +187,30 @@ class BaselineRouter:
     # ------------------------------------------------------------------
     def _emit_single_qubit_gate(self, schedule: Schedule, state: DeviceState, gate: Gate) -> None:
         trap = state.trap_of(gate.qubits[0])
-        schedule.append(
-            GateOperation(gate=gate, trap=trap, chain_length=max(state.chain_length(trap), 1))
+        schedule.slab.append_gate(
+            KIND_CODE_GATE_1Q, gate, trap, max(state.chain_length(trap), 1), 0
         )
 
     def _emit_two_qubit_gate(self, schedule: Schedule, state: DeviceState, gate: Gate) -> None:
         qubit_a, qubit_b = gate.qubits
         trap = state.trap_of(qubit_a)
-        schedule.append(
-            GateOperation(
-                gate=gate,
-                trap=trap,
-                chain_length=state.chain_length(trap),
-                ion_separation=state.ion_separation(qubit_a, qubit_b),
-            )
+        schedule.slab.append_gate(
+            KIND_CODE_GATE_2Q,
+            gate,
+            trap,
+            state.chain_length(trap),
+            state.ion_separation(qubit_a, qubit_b),
         )
 
     def emit_swap(self, schedule: Schedule, state: DeviceState, qubit_a: int, qubit_b: int) -> None:
         """Record and apply one SWAP gate."""
         trap = state.trap_of(qubit_a)
-        schedule.append(
-            SwapOperation(
-                trap=trap,
-                qubit_a=qubit_a,
-                qubit_b=qubit_b,
-                chain_length=state.chain_length(trap),
-                ion_separation=state.ion_separation(qubit_a, qubit_b),
-            )
+        schedule.slab.append_swap(
+            trap,
+            qubit_a,
+            qubit_b,
+            state.chain_length(trap),
+            state.ion_separation(qubit_a, qubit_b),
         )
         state.swap_qubits(qubit_a, qubit_b)
 
@@ -225,16 +222,14 @@ class BaselineRouter:
         connection = self.device.connection_between(source_trap, target_trap)
         source_before = state.chain_length(source_trap)
         state.shuttle(qubit, target_trap)
-        schedule.append(
-            ShuttleOperation(
-                qubit=qubit,
-                source_trap=source_trap,
-                target_trap=target_trap,
-                segments=connection.segments,
-                junctions=connection.junctions,
-                source_chain_length=source_before,
-                target_chain_length=state.chain_length(target_trap),
-            )
+        schedule.slab.append_shuttle(
+            qubit,
+            source_trap,
+            target_trap,
+            connection.segments,
+            connection.junctions,
+            source_before,
+            state.chain_length(target_trap),
         )
 
     # ------------------------------------------------------------------

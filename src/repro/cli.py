@@ -47,7 +47,7 @@ Eleven subcommands cover the common workflows without writing Python:
 
 ``fuzz``
     Differential scenario fuzzing (:mod:`repro.fuzz`): seeded random
-    circuits x random devices through all three scheduler backends and
+    circuits x random devices through both scheduler backends and
     the baselines, with backend parity, legality replay, codec
     round-trips and noise invariants checked on every case; failing
     scenarios are delta-debugged to minimal JSON reproducers and the
@@ -172,7 +172,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--backend",
         default=None,
         choices=SCHEDULER_BACKENDS,
-        help="scheduler core (S-SYNC only; default: flat — all three are bit-identical)",
+        help="scheduler core (S-SYNC only; default: flat — both are bit-identical)",
     )
     compile_parser.add_argument(
         "--profile",

@@ -10,12 +10,6 @@ from repro.core.flatstate import (
 )
 from repro.core.generic_swap import GenericSwap, GenericSwapKind, GenericSwapRules
 from repro.core.heuristic import DecayTracker, HeuristicCost, apply_generic_swap
-from repro.core.incremental import (
-    CandidateCache,
-    IncrementalRun,
-    IncrementalSwapScorer,
-    TrapVersions,
-)
 from repro.core.mapping import (
     EvenDividedMapper,
     GatheringMapper,
@@ -33,7 +27,6 @@ from repro.core.scheduler import (
 from repro.core.state import LEFT, RIGHT, DeviceState
 
 __all__ = [
-    "CandidateCache",
     "CompilationResult",
     "DecayTracker",
     "DeviceState",
@@ -49,8 +42,6 @@ __all__ = [
     "GenericSwapRules",
     "GenericSwapScheduler",
     "HeuristicCost",
-    "IncrementalRun",
-    "IncrementalSwapScorer",
     "InitialMapper",
     "LEFT",
     "RIGHT",
@@ -60,7 +51,6 @@ __all__ = [
     "STAMapper",
     "SchedulerConfig",
     "SchedulerStatistics",
-    "TrapVersions",
     "apply_generic_swap",
     "compile_circuit",
     "get_mapper",

@@ -1,11 +1,9 @@
 """Flat-array scheduler core: batched candidate scoring on integer vectors.
 
-The incremental core (:mod:`repro.core.incremental`) removed the
-per-candidate state copy; the remaining fat is *representational* —
-``DeviceState`` keeps dicts of lists, candidate generation walks those
-dicts, and every scored candidate still mutates and reverts the live
-chains.  This module rebuilds the routing hot path on flat integer
-vectors instead:
+The naive reference core scores every candidate on a fresh copy of
+``DeviceState`` — dicts of lists that candidate generation walks and
+every scored candidate mutates.  This module rebuilds the routing hot
+path on flat integer vectors instead:
 
 * :class:`FlatState` — a mirror of the run's working
   :class:`~repro.core.state.DeviceState` on ``array('i')`` vectors: one
@@ -30,25 +28,15 @@ vectors instead:
   dispatch, no method calls between candidates.
 
 Scores are **bit-for-bit identical** to the reference scorer
-(:meth:`HeuristicCost.swap_score`) and the incremental scorer: the
-distance arithmetic replays :func:`repro.core.incremental
-.make_fast_distance` operation-for-operation on the same float inputs
-(the device's dense routing tables, exported flattened by
+(:meth:`HeuristicCost.swap_score`): the distance arithmetic replays
+:meth:`HeuristicCost.pair_distance` operation-for-operation on the same
+float inputs (the device's dense routing tables, exported flattened by
 :attr:`QCCDDevice.flat_routing_tables`), the frontier minimum is read
 off per-decay-class ``(dis, index)`` sort order, and the lookahead term
 uses the reference scorer's base-plus-deltas definition, where a gate
 whose distance is unchanged contributes an exact ``0.0``.  The
-randomized three-way parity suite
-(``tests/core/test_incremental_parity.py``) asserts schedule and
-statistics equality across all backends.
-
-Downstream of scoring, the flat backend also *materialises* its output
-in one pass: the scheduler emits operations straight into a columnar
-:class:`~repro.schedule.operations.OperationSlab` (the same layout the
-binary codec in :mod:`repro.schedule.serialize` reads and writes), so a
-compiled schedule never exists as a list of per-operation objects
-unless someone iterates it.  Encoding a freshly compiled schedule to
-cache-entry bytes is therefore a column copy, not an object walk.
+randomized naive-vs-flat parity suite under ``tests/core`` asserts
+schedule and statistics equality between the two backends.
 """
 
 from __future__ import annotations
@@ -402,8 +390,8 @@ def _flat_pair_distance(
 ) -> float:
     """Eq. 2's ``dis`` term off the flat arrays.
 
-    Bit-identical to :func:`repro.core.incremental.make_fast_distance`
-    (same operand order, same float inputs).  Also serves as the
+    Bit-identical to :meth:`HeuristicCost.pair_distance` (same operand
+    order, same float inputs).  Also serves as the
     hypothetical-SWAP distance: the batched scorer exchanges the two
     position entries in ``qpos`` before calling it (a SWAP changes
     nothing else the distance reads).
@@ -489,9 +477,9 @@ def _flat_shuttle_distance(
 class FlatBatchScorer:
     """Batched evaluation of ``H(swap)`` (Eq. 1) over the flat arrays.
 
-    ``begin_iteration`` carries the incremental scorer's snapshot
-    discipline (rebuild on DAG revision change, otherwise patch only the
-    gates recent swaps affected) and extends it with per-iteration
+    ``begin_iteration`` keeps a per-frontier snapshot (rebuilt on a DAG
+    revision change, otherwise patched for only the gates recent swaps
+    affected) plus per-iteration
     *index maps*: qubit -> gate indices and, for cross-trap gates,
     trap -> (gate index, which-end-the-route-leaves-by).  :meth:`select`
     then scores **all** candidates of the iteration in one pass — per
@@ -513,7 +501,7 @@ class FlatBatchScorer:
     ``qubit_pos`` entries, a shuttle retargets the moved ion and adjusts
     two chain lengths, and the uniform position shift of bystander ions
     is folded into the distance arithmetic.  Scores are bit-identical to
-    :meth:`HeuristicCost.swap_score` and the incremental scorer.
+    :meth:`HeuristicCost.swap_score`.
     """
 
     __slots__ = (
@@ -587,7 +575,7 @@ class FlatBatchScorer:
             self._pending_qubits.add(candidate.qubit_b)
 
     # ------------------------------------------------------------------
-    # per-iteration snapshot (same discipline as IncrementalSwapScorer)
+    # per-iteration snapshot
     # ------------------------------------------------------------------
     def begin_iteration(
         self,

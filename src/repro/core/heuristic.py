@@ -14,10 +14,10 @@ ions (paper §3.3 and §4.4: δ defaults to 0.001, reset after 5 idle
 iterations).
 
 :meth:`HeuristicCost.swap_score` here is the *reference* evaluator — a
-scratch state copy and a full rescore per candidate.  The production
-hot path delta-evaluates the same quantities bit-identically
-(:mod:`repro.core.incremental`); the randomized parity suite holds the
-two together.
+scratch state copy and a full rescore per candidate — used by the naive
+scheduler core.  The flat core (:mod:`repro.core.flatstate`) evaluates
+the same quantities bit-identically on integer arrays; the randomized
+parity suite holds the two together.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ class DecayTracker:
     def factors(self, pairs: list[tuple[int, int]]) -> list[float]:
         """:meth:`factor` for many gates at once (one scheduler iteration).
 
-        Bulk variant for the incremental scorer: identical values, one
+        Bulk variant for the flat batch scorer: identical values, one
         call per iteration instead of one per gate.
         """
         last_touched = self._last_touched

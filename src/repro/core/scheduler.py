@@ -17,50 +17,43 @@ Two engineering safeguards complement the paper's description:
   inputs.
 
 The hot path is selectable via ``SchedulerConfig.backend`` and ships in
-three implementations that produce bit-identical schedules and
+two implementations that produce bit-identical schedules and
 statistics (asserted by the randomized parity suite):
 
 * ``"flat"`` (default) — candidate generation and batched scoring on
   flat integer arrays (:mod:`repro.core.flatstate`); every candidate of
   an iteration is evaluated in one pass with hypothetical placements
   costing a few array writes.
-* ``"incremental"`` — delta evaluation on the live ``DeviceState`` with
-  per-candidate apply/undo (:mod:`repro.core.incremental`).
-* ``"naive"`` — the reference implementation: a fresh ``state.copy()``
-  and a full rescore per candidate.
+* ``"naive"`` — the reference implementation and executable
+  specification: a fresh ``state.copy()`` and a full rescore per
+  candidate (:meth:`HeuristicCost.swap_score`).
+
+Everything outside candidate generation and scoring — gate execution,
+move application, force-routing — is shared, and both cores emit
+straight into the schedule's columnar slab.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
 from repro.circuit.circuit import QuantumCircuit
 from repro.circuit.dag import DependencyDAG
 from repro.circuit.gate import Gate
-from repro.core.flatstate import FlatCandidateBatch, FlatRun, FlatState
+from repro.core.flatstate import FlatCandidateBatch, FlatRun
 from repro.core.generic_swap import GenericSwap, GenericSwapKind, GenericSwapRules
-from repro.core.heuristic import DecayTracker, HeuristicCost, apply_generic_swap
-from repro.core.incremental import IncrementalRun
+from repro.core.heuristic import DecayTracker, HeuristicCost
 from repro.core.state import DeviceState
 from repro.exceptions import SchedulingError
 from repro.hardware.device import QCCDDevice
 from repro.hardware.graph import GraphWeights
-from repro.schedule.operations import (
-    KIND_CODE_GATE_1Q,
-    KIND_CODE_GATE_2Q,
-    GateOperation,
-    ShuttleOperation,
-    SwapOperation,
-)
+from repro.schedule.operations import KIND_CODE_GATE_1Q, KIND_CODE_GATE_2Q
 from repro.schedule.schedule import Schedule
 
-#: The selectable scheduler cores, fastest first.  All three produce
+#: The selectable scheduler cores, fastest first.  Both produce
 #: bit-identical schedules and statistics; see the module docstring.
-SCHEDULER_BACKENDS = ("flat", "incremental", "naive")
-
-#: Union of the per-run cache bundles the scheduling loop threads around
-#: (``None`` is the naive backend: no caches, reference scoring).
-RunCaches = "FlatRun | IncrementalRun | None"
+SCHEDULER_BACKENDS = ("flat", "naive")
 
 
 @dataclass(frozen=True)
@@ -85,17 +78,11 @@ class SchedulerConfig:
     lookahead_weight: float = 0.5
     stall_limit: int = 64
     max_generic_swaps: int = 2_000_000
-    #: Legacy backend toggle kept for compatibility: ``True`` selects the
-    #: ``"incremental"`` backend, ``False`` the ``"naive"`` one.  When
-    #: set it wins over ``backend`` and is normalized back to ``None``
-    #: during ``__post_init__`` so only ``backend`` carries the resolved
-    #: choice (and ``dataclasses.replace`` chains keep working).
-    incremental: "bool | None" = None
     #: Which scheduler core scores candidates — one of
     #: :data:`SCHEDULER_BACKENDS`.  ``None`` resolves to ``"flat"``.
-    #: All backends produce bit-identical schedules and statistics
-    #: (asserted by the randomized parity suite); the slower ones exist
-    #: as references and for benchmarking the speedups.
+    #: Both backends produce bit-identical schedules and statistics
+    #: (asserted by the randomized parity suite); ``"naive"`` is the
+    #: reference the fast core is checked against.
     backend: "str | None" = None
 
     def __post_init__(self) -> None:
@@ -108,12 +95,7 @@ class SchedulerConfig:
         # Resolve the backend exactly once, here, so every consumer
         # (run(), pipeline statistics, benchmarks) reads one field and
         # the naive candidate loop can never be reached by accident.
-        backend = self.backend
-        if self.incremental is not None:
-            backend = "incremental" if self.incremental else "naive"
-            object.__setattr__(self, "incremental", None)
-        elif backend is None:
-            backend = "flat"
+        backend = "flat" if self.backend is None else self.backend
         if backend not in SCHEDULER_BACKENDS:
             raise SchedulingError(
                 f"unknown scheduler backend {backend!r}; expected one of {SCHEDULER_BACKENDS}"
@@ -159,36 +141,42 @@ class GenericSwapScheduler:
         pending_1q = dag.pending_single_qubit
         trailing_1q = dag.trailing_single_qubit
         decay = DecayTracker(self.config.decay_delta, self.config.decay_reset_interval)
-        backend = self.config.backend
-        caches: "FlatRun | IncrementalRun | None"
-        if backend == "flat":
+        caches: "FlatRun | None"
+        if self.config.backend == "flat":
             caches = FlatRun(state, self.device, self.rules, self.cost)
             generate_candidates = caches.generator.candidates_for_gates
-        elif backend == "incremental":
-            caches = IncrementalRun(state, self.device, self.rules, self.cost)
-            generate_candidates = caches.candidates.candidates_for_gates
-        elif backend == "naive":
-            caches = None
-            generate_candidates = self.rules.candidates_for_gates
-        else:  # pragma: no cover - __post_init__ validates the field
-            raise SchedulingError(f"unknown scheduler backend {backend!r}")
-        if isinstance(caches, FlatRun):
-            flat_mirror = caches.flat
-            # Single-pass materialisation: the flat backend appends plain
-            # scalars into the schedule's columnar slab — no per-op
-            # record objects exist between the scorer and the encoder.
-            schedule.use_slab()
+            flat = caches.flat
 
             def execute_ready(ready: "list[tuple[int, Gate]] | None" = None) -> bool:
-                return self._execute_ready_gates_flat(
-                    dag, flat_mirror, schedule, pending_1q, stats, ready
+                return self._execute_ready_gates(
+                    dag,
+                    flat.qubit_trap,
+                    flat.qubit_pos,
+                    flat.length,
+                    schedule,
+                    pending_1q,
+                    stats,
+                    ready,
                 )
 
         else:
+            caches = None
+            generate_candidates = self.rules.candidates_for_gates
 
             def execute_ready(ready: "list[tuple[int, Gate]] | None" = None) -> bool:
-                return self._execute_ready_gates(dag, state, schedule, pending_1q, stats, ready)
-
+                # Executing gates never moves an ion, so chain lengths
+                # snapshotted here stay valid for the whole call.
+                lengths = {trap: len(chain) for trap, chain in state.chains.items()}
+                return self._execute_ready_gates(
+                    dag,
+                    state.locations,
+                    state.positions,
+                    lengths,
+                    schedule,
+                    pending_1q,
+                    stats,
+                    ready,
+                )
 
         last_swap: GenericSwap | None = None
         swaps_since_progress = 0
@@ -284,7 +272,9 @@ class GenericSwapScheduler:
     def _execute_ready_gates(
         self,
         dag: DependencyDAG,
-        state: DeviceState,
+        locations: "Sequence[int] | Mapping[int, int]",
+        positions: "Sequence[int] | Mapping[int, int]",
+        lengths: "Sequence[int] | Mapping[int, int]",
         schedule: Schedule,
         pending_1q: dict[int, list[Gate]],
         stats: SchedulerStatistics,
@@ -292,12 +282,15 @@ class GenericSwapScheduler:
     ) -> bool:
         """Execute every frontier gate whose operands share a trap.
 
-        Executing a gate never moves an ion, so a gate found split across
-        traps stays split for the whole call: each round only the gates
-        that became ready in the previous round need a co-location check,
-        instead of rescanning the entire frontier after every execution.
-        Execution order (ready gates in program order, round by round) is
-        unchanged from the full-rescan formulation.
+        The read views map qubit → trap (``locations``), qubit → chain
+        index (``positions``) and trap → chain length (``lengths``).  The
+        flat core passes its mirror vectors; the naive core passes the
+        state's own tables.  Executing a gate never moves an ion, so the
+        views stay valid for the whole call, and a gate found split
+        across traps stays split: each round only the gates that became
+        ready in the previous round need a co-location check, instead of
+        rescanning the entire frontier after every execution.  Execution
+        order is ready gates in program order, round by round.
 
         ``ready`` lets the caller pass its revision-cached frontier list
         (skipping a rebuild), or a prefiltered slice of it — after a
@@ -306,12 +299,10 @@ class GenericSwapScheduler:
         slice is empty.
         """
         executed_any = False
-        locations = state.locations
-        positions = state.positions
-        chains = state.chains
-        append = schedule.appender()
+        append_gate = schedule.slab.append_gate
         pop_pending = pending_1q.pop
-        make_gate_op = GateOperation
+        code_1q = KIND_CODE_GATE_1Q
+        code_2q = KIND_CODE_GATE_2Q
         executed = 0
         if ready is None:
             ready = dag.frontier_items()
@@ -332,16 +323,14 @@ class GenericSwapScheduler:
                     qubit_1q = gate_1q.qubits[0]
                     if qubit_1q != previous_qubit:
                         trap_1q = locations[qubit_1q]
-                        chain_length_1q = len(chains[trap_1q])
+                        chain_length_1q = lengths[trap_1q]
                         previous_qubit = qubit_1q
-                    append(make_gate_op(gate_1q, trap_1q, chain_length_1q))
+                    append_gate(code_1q, gate_1q, trap_1q, chain_length_1q, 0)
                 separation = positions[qubit_a] - positions[qubit_b]
                 if separation < 0:
                     separation = -separation
-                append(
-                    make_gate_op(
-                        gate, trap, len(chains[trap]), separation - 1 if separation > 1 else 0
-                    )
+                append_gate(
+                    code_2q, gate, trap, lengths[trap], separation - 1 if separation > 1 else 0
                 )
                 executed += 1
                 executed_any = True
@@ -361,16 +350,14 @@ class GenericSwapScheduler:
                     qubit_1q = gate_1q.qubits[0]
                     if qubit_1q != previous_qubit:
                         trap_1q = locations[qubit_1q]
-                        chain_length_1q = len(chains[trap_1q])
+                        chain_length_1q = lengths[trap_1q]
                         previous_qubit = qubit_1q
-                    append(make_gate_op(gate_1q, trap_1q, chain_length_1q))
+                    append_gate(code_1q, gate_1q, trap_1q, chain_length_1q, 0)
                 separation = positions[qubit_a] - positions[qubit_b]
                 if separation < 0:
                     separation = -separation
-                append(
-                    make_gate_op(
-                        gate, trap, len(chains[trap]), separation - 1 if separation > 1 else 0
-                    )
+                append_gate(
+                    code_2q, gate, trap, lengths[trap], separation - 1 if separation > 1 else 0
                 )
                 retired.append(index)
                 executed_any = True
@@ -387,104 +374,10 @@ class GenericSwapScheduler:
         stats.executed_two_qubit_gates += executed
         return executed_any
 
-    def _execute_ready_gates_flat(
-        self,
-        dag: DependencyDAG,
-        flat: FlatState,
-        schedule: Schedule,
-        pending_1q: dict[int, list[Gate]],
-        stats: SchedulerStatistics,
-        ready: "list[tuple[int, Gate]] | None" = None,
-    ) -> bool:
-        """:meth:`_execute_ready_gates` off the flat-array mirror.
-
-        Gate execution never moves an ion, so this path only *reads* —
-        trap membership, chain length and ion separation come straight
-        off the ``qubit_trap`` / ``qubit_pos`` / ``length`` vectors
-        instead of the canonical state's dict-of-list bookkeeping.
-        Emission goes straight into the schedule's columnar slab — plain
-        integer appends, no :class:`GateOperation` objects.  Emission
-        order and every operation field are identical to the reference
-        method (the mirror tracks the state move-for-move).
-        """
-        executed_any = False
-        qtrap = flat.qubit_trap
-        qpos = flat.qubit_pos
-        length = flat.length
-        append_gate = schedule.use_slab().append_gate
-        pop_pending = pending_1q.pop
-        code_1q = KIND_CODE_GATE_1Q
-        code_2q = KIND_CODE_GATE_2Q
-        executed = 0
-        if ready is None:
-            ready = dag.frontier_items()
-        retire = dag.retire
-        while ready:
-            if len(ready) == 1:
-                index, gate = ready[0]
-                qubit_a, qubit_b = gate.qubits
-                trap = qtrap[qubit_a]
-                if trap != qtrap[qubit_b]:
-                    break
-                previous_qubit = -1
-                for gate_1q in pop_pending(index, ()):
-                    qubit_1q = gate_1q.qubits[0]
-                    if qubit_1q != previous_qubit:
-                        trap_1q = qtrap[qubit_1q]
-                        chain_length_1q = length[trap_1q]
-                        previous_qubit = qubit_1q
-                    append_gate(code_1q, gate_1q, trap_1q, chain_length_1q, 0)
-                separation = qpos[qubit_a] - qpos[qubit_b]
-                if separation < 0:
-                    separation = -separation
-                append_gate(
-                    code_2q, gate, trap, length[trap], separation - 1 if separation > 1 else 0
-                )
-                executed += 1
-                executed_any = True
-                ready = retire(index)
-                if len(ready) > 1:
-                    ready.sort()
-                continue
-            retired: list[int] = []
-            for index, gate in ready:
-                qubit_a, qubit_b = gate.qubits
-                trap = qtrap[qubit_a]
-                if trap != qtrap[qubit_b]:
-                    continue
-                previous_qubit = -1
-                for gate_1q in pop_pending(index, ()):
-                    qubit_1q = gate_1q.qubits[0]
-                    if qubit_1q != previous_qubit:
-                        trap_1q = qtrap[qubit_1q]
-                        chain_length_1q = length[trap_1q]
-                        previous_qubit = qubit_1q
-                    append_gate(code_1q, gate_1q, trap_1q, chain_length_1q, 0)
-                separation = qpos[qubit_a] - qpos[qubit_b]
-                if separation < 0:
-                    separation = -separation
-                append_gate(
-                    code_2q, gate, trap, length[trap], separation - 1 if separation > 1 else 0
-                )
-                retired.append(index)
-                executed_any = True
-            if not retired:
-                break
-            executed += len(retired)
-            newly_ready = dag.retire_many(retired)
-            newly_ready.sort()
-            ready = newly_ready
-        stats.executed_two_qubit_gates += executed
-        return executed_any
-
     def _emit_single_qubit_gate(self, schedule: Schedule, state: DeviceState, gate: Gate) -> None:
         trap = state.locations[gate.qubits[0]]
         chain_length = max(state.chain_length(trap), 1)
-        slab = schedule.slab
-        if slab is not None:
-            slab.append_gate(KIND_CODE_GATE_1Q, gate, trap, chain_length, 0)
-        else:
-            schedule.append(GateOperation(gate, trap, chain_length))
+        schedule.slab.append_gate(KIND_CODE_GATE_1Q, gate, trap, chain_length, 0)
 
     # ------------------------------------------------------------------
     # candidate selection and application
@@ -497,10 +390,10 @@ class GenericSwapScheduler:
         lookahead_pairs: list[tuple[int, int]] | None,
         decay: DecayTracker,
         stats: SchedulerStatistics,
-        caches: "FlatRun | IncrementalRun | None",
+        caches: "FlatRun | None",
         revision: int = -1,
     ) -> GenericSwap:
-        if isinstance(caches, FlatRun):
+        if caches is not None:
             if len(candidates) == 1:
                 # Argmin of a singleton: same shortcut as below, but the
                 # flat batch materialises the one candidate on demand.
@@ -523,22 +416,6 @@ class GenericSwapScheduler:
             stats.candidate_evaluations += 1
             return best_candidate
         best_score = float("inf")
-        if caches is not None:
-            scorer = caches.scorer
-            scorer.begin_iteration(
-                frontier_pairs,
-                decay,
-                lookahead_pairs,
-                self.config.lookahead_weight,
-                revision,
-            )
-            for candidate in candidates:
-                score = scorer.score(state, candidate)
-                stats.candidate_evaluations += 1
-                if score < best_score - 1e-12:
-                    best_score = score
-                    best_candidate = candidate
-            return best_candidate
         for candidate in candidates:
             score = self.cost.swap_score(
                 state,
@@ -559,14 +436,10 @@ class GenericSwapScheduler:
         schedule: Schedule,
         state: DeviceState,
         candidate: GenericSwap,
-        caches: "FlatRun | IncrementalRun | None" = None,
+        caches: "FlatRun | None" = None,
     ) -> None:
         locations = state.locations
         chains = state.chains
-        # In slab mode (the flat backend) the applied move is emitted as
-        # plain scalars into the columnar slab; the classic backends
-        # construct the record objects as before.  Field values are
-        # computed identically either way.
         slab = schedule.slab
         if candidate.kind is GenericSwapKind.SWAP_GATE:
             assert candidate.qubit_b is not None
@@ -575,24 +448,13 @@ class GenericSwapScheduler:
             separation = positions[candidate.qubit_a] - positions[candidate.qubit_b]
             if separation < 0:
                 separation = -separation
-            if slab is not None:
-                slab.append_swap(
-                    trap,
-                    candidate.qubit_a,
-                    candidate.qubit_b,
-                    len(chains[trap]),
-                    separation - 1 if separation > 1 else 0,
-                )
-            else:
-                schedule.append(
-                    SwapOperation(
-                        trap=trap,
-                        qubit_a=candidate.qubit_a,
-                        qubit_b=candidate.qubit_b,
-                        chain_length=len(chains[trap]),
-                        ion_separation=separation - 1 if separation > 1 else 0,
-                    )
-                )
+            slab.append_swap(
+                trap,
+                candidate.qubit_a,
+                candidate.qubit_b,
+                len(chains[trap]),
+                separation - 1 if separation > 1 else 0,
+            )
             state.unchecked_swap(candidate.qubit_a, candidate.qubit_b)
         else:
             assert candidate.target_trap is not None
@@ -602,28 +464,15 @@ class GenericSwapScheduler:
             # The checked shuttle validates end position and capacity; a
             # selected candidate was generated legal against this state.
             state.unchecked_shuttle(candidate.qubit_a, source_trap, candidate.target_trap)
-            if slab is not None:
-                slab.append_shuttle(
-                    candidate.qubit_a,
-                    source_trap,
-                    candidate.target_trap,
-                    connection.segments,
-                    connection.junctions,
-                    source_before,
-                    len(chains[candidate.target_trap]),
-                )
-            else:
-                schedule.append(
-                    ShuttleOperation(
-                        qubit=candidate.qubit_a,
-                        source_trap=source_trap,
-                        target_trap=candidate.target_trap,
-                        segments=connection.segments,
-                        junctions=connection.junctions,
-                        source_chain_length=source_before,
-                        target_chain_length=len(chains[candidate.target_trap]),
-                    )
-                )
+            slab.append_shuttle(
+                candidate.qubit_a,
+                source_trap,
+                candidate.target_trap,
+                connection.segments,
+                connection.junctions,
+                source_before,
+                len(chains[candidate.target_trap]),
+            )
         if caches is not None:
             caches.notify_applied(candidate)
 
@@ -636,7 +485,7 @@ class GenericSwapScheduler:
         state: DeviceState,
         gate: Gate,
         stats: SchedulerStatistics,
-        caches: "FlatRun | IncrementalRun | None" = None,
+        caches: "FlatRun | None" = None,
     ) -> None:
         """Deterministically co-locate the operands of ``gate``."""
         qubit_a, qubit_b = gate.qubits
@@ -696,7 +545,7 @@ class GenericSwapScheduler:
         state: DeviceState,
         trap_id: int,
         protected: tuple[int, ...],
-        caches: "FlatRun | IncrementalRun | None" = None,
+        caches: "FlatRun | None" = None,
     ) -> None:
         """Free one slot in ``trap_id`` by pushing ions towards the nearest trap with room."""
         path = self._path_to_free_slot(state, trap_id)

@@ -19,8 +19,8 @@ count of completely full traps (the Pen term of Eq. 2, O(1) via
 :meth:`full_trap_count`).  Mutations keep all three in sync; the
 unchecked fast paths (:meth:`unchecked_swap`, :meth:`unchecked_shuttle`)
 skip the legality checks for callers that apply *known-legal* moves —
-the incremental scorer applies and reverts every candidate on the live
-state instead of copying it.
+the scheduler applies the candidate it selected, which was generated
+legal against this state.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ class DeviceState:
         "chains",
         "locations",
         "positions",
-        "capacities",
     )
 
     def __init__(self, device: QCCDDevice) -> None:
@@ -75,8 +74,6 @@ class DeviceState:
         self.positions: Mapping[int, int] = self._positions
         #: Live trap -> chain mapping (read-only view).
         self.chains: Mapping[int, list[int]] = self._chains
-        #: Trap -> capacity snapshot (read-only view).
-        self.capacities: Mapping[int, int] = self._capacities
 
     # ------------------------------------------------------------------
     # construction
@@ -244,8 +241,7 @@ class DeviceState:
     def unchecked_swap(self, qubit_a: int, qubit_b: int) -> None:
         """SWAP fast path: the caller guarantees both qubits share a trap.
 
-        A SWAP is its own inverse, so reverting a hypothetical SWAP is
-        simply applying it again.
+        A SWAP is its own inverse: applying it again restores the chain.
         """
         positions = self._positions
         i, j = positions[qubit_a], positions[qubit_b]

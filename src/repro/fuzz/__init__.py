@@ -9,7 +9,7 @@ The subsystem turns scenario diversity into a correctness weapon:
   random devices (linear / ring / grid / star / hex at arbitrary scale,
   heterogeneous per-trap capacities);
 * :mod:`repro.fuzz.oracle` — the differential oracle: every scenario is
-  compiled through all three scheduler backends (bit-identical schedule
+  compiled through both scheduler backends (bit-identical schedule
   bytes and statistics required) and the baseline compilers, every
   emitted schedule is replayed through the legality verifier and
   round-tripped through the binary codec, and the noise evaluation must

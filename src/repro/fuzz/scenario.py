@@ -270,7 +270,7 @@ def load_corpus(directory: "str | Path") -> list[tuple[Path, Scenario]]:
 class GeneratorLimits:
     """Size envelope of generated scenarios.
 
-    The defaults keep a single oracle pass (three backends, two
+    The defaults keep a single oracle pass (two backends, two
     baselines, verification, codec round-trip, two noise evaluations)
     well under a second, so hundreds of cases fit in a CI smoke job.
     """

@@ -308,10 +308,10 @@ class SpaceShiftOperation(ScheduledOperation):
 class OperationSlab:
     """Columnar storage for an operation log: one array per field.
 
-    The slab is the single-pass materialisation target of the flat
-    scheduler backend and the direct input/output of the binary schedule
-    codec: the winning-candidate path appends plain integers into these
-    arrays, and the encoder serialises the arrays wholesale — no
+    The slab is the storage of every :class:`~repro.schedule.schedule
+    .Schedule` and the direct input/output of the binary schedule codec:
+    the schedulers and the baseline routers append plain integers into
+    these arrays, and the encoder serialises the arrays wholesale — no
     per-operation record objects exist on that path at all.  ``kinds``
     holds one :data:`KIND_CODE_* <KIND_CODE_GATE_1Q>` byte per operation
     in schedule order; each kind's fields live in dedicated typed arrays
@@ -320,8 +320,7 @@ class OperationSlab:
 
     :meth:`materialize` builds the classic :class:`ScheduledOperation`
     objects on demand (through the validation-free constructors — slab
-    producers assert the invariants), which is what keeps slab-backed
-    and object-backed schedules field-for-field identical.
+    producers assert the invariants).
     """
 
     __slots__ = (
@@ -472,14 +471,6 @@ class OperationSlab:
             raise SchedulingError(
                 f"cannot store operation type {type(operation).__name__} in a slab"
             )
-
-    @classmethod
-    def from_operations(cls, operations: "list[ScheduledOperation] | tuple") -> "OperationSlab":
-        """Columnarise an existing operation log."""
-        slab = cls()
-        for operation in operations:
-            slab.append_operation(operation)
-        return slab
 
     def materialize(self) -> "list[ScheduledOperation]":
         """Rebuild the interleaved record-object log from the columns."""

@@ -8,7 +8,6 @@ compilation and immutable in spirit afterwards.
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Iterator
 
 from repro.exceptions import SchedulingError
@@ -27,69 +26,32 @@ from repro.schedule.operations import (
 class Schedule:
     """Ordered log of scheduled operations for one compiled circuit.
 
-    The log has two storage modes.  The classic mode keeps a list of
-    :class:`ScheduledOperation` records.  **Slab mode** (entered through
-    :meth:`use_slab` or :meth:`from_slab`) keeps an
-    :class:`~repro.schedule.operations.OperationSlab` of columnar arrays
-    instead — the flat scheduler backend appends plain integers into the
-    slab and the binary codec serialises it wholesale, so no per-op
-    record objects exist until somebody iterates the schedule.  Record
-    objects are then materialised lazily and cached; the two modes are
-    observationally identical.
+    The log lives in an :class:`~repro.schedule.operations.OperationSlab`
+    of columnar arrays: the schedulers append plain integers into
+    :attr:`slab` and the binary codec serialises it wholesale, so no
+    per-op record objects exist until somebody iterates the schedule.
+    Record objects are then materialised lazily and cached.
     """
 
-    __slots__ = ("device", "circuit_name", "_operations", "_cached_counts", "_slab")
+    __slots__ = ("device", "circuit_name", "slab", "_operations")
 
-    def __init__(self, device: QCCDDevice, circuit_name: str = "circuit") -> None:
+    def __init__(
+        self,
+        device: QCCDDevice,
+        circuit_name: str = "circuit",
+        slab: OperationSlab | None = None,
+    ) -> None:
         self.device = device
         self.circuit_name = circuit_name
+        #: The columnar backing store; producers append into it directly.
+        self.slab = slab if slab is not None else OperationSlab()
         self._operations: list[ScheduledOperation] = []
-        self._cached_counts: "Counter[OperationKind] | None" = None
-        self._slab: OperationSlab | None = None
-
-    # ------------------------------------------------------------------
-    # slab mode
-    # ------------------------------------------------------------------
-    def use_slab(self) -> OperationSlab:
-        """Switch an empty schedule to columnar storage; returns the slab.
-
-        The flat scheduler backend calls this once per compile and then
-        appends scalars straight into the returned slab.
-        """
-        if self._slab is None:
-            if self._operations:
-                raise SchedulingError("cannot attach a slab to a non-empty schedule")
-            self._slab = OperationSlab()
-        return self._slab
-
-    @classmethod
-    def from_slab(
-        cls, device: QCCDDevice, circuit_name: str, slab: OperationSlab
-    ) -> "Schedule":
-        """Wrap an existing slab (the binary decoder's constructor)."""
-        schedule = cls(device, circuit_name)
-        schedule._slab = slab
-        return schedule
-
-    @property
-    def slab(self) -> OperationSlab | None:
-        """The columnar backing store, or ``None`` in classic mode."""
-        return self._slab
-
-    def to_slab(self) -> OperationSlab:
-        """This schedule's columns — built on the fly in classic mode."""
-        if self._slab is not None:
-            return self._slab
-        return OperationSlab.from_operations(self._operations)
 
     def _materialized(self) -> list[ScheduledOperation]:
-        """The record-object log (lazily rebuilt from the slab)."""
-        slab = self._slab
-        if slab is None:
-            return self._operations
+        """The record-object log (rebuilt from the slab after appends)."""
         ops = self._operations
-        if len(ops) != len(slab):
-            ops = slab.materialize()
+        if len(ops) != len(self.slab):
+            ops = self.slab.materialize()
             self._operations = ops
         return ops
 
@@ -97,52 +59,15 @@ class Schedule:
     # construction
     # ------------------------------------------------------------------
     def append(self, operation: ScheduledOperation) -> None:
-        """Append one operation to the log."""
+        """Append one operation record to the log (cold path)."""
         if not isinstance(operation, ScheduledOperation):
             raise SchedulingError(f"expected a ScheduledOperation, got {type(operation).__name__}")
-        if self._slab is not None:
-            self._slab.append_operation(operation)
-        else:
-            self._operations.append(operation)
-        self._cached_counts = None
-
-    @property
-    def _counts(self) -> "Counter[OperationKind]":
-        """Per-kind operation counts, recounted lazily after appends.
-
-        The compiler reads the counters once per compile but appends
-        thousands of operations, so the count is not maintained per
-        append.  Slab mode recounts from the kinds column on every read
-        (a C-speed byte count, and immune to appends that bypass this
-        object by writing into the slab directly).
-        """
-        if self._slab is not None:
-            return self._slab.counts()
-        counts = self._cached_counts
-        if counts is None:
-            counts = Counter(op.kind for op in self._operations)
-            self._cached_counts = counts
-        return counts
+        self.slab.append_operation(operation)
 
     def extend(self, operations: Iterator[ScheduledOperation] | list[ScheduledOperation]) -> None:
         """Append several operations in order."""
         for operation in operations:
             self.append(operation)
-
-    def appender(self):
-        """A bound fast-append for trusted bulk producers (the scheduler).
-
-        Skips the per-call type check and count invalidation — the
-        caller promises to append only :class:`ScheduledOperation`
-        instances.  Counts are invalidated once here, which stays
-        correct for every later append through the returned bound
-        method.  In slab mode the returned callable decomposes each
-        record into the columns instead.
-        """
-        self._cached_counts = None
-        if self._slab is not None:
-            return self._slab.append_operation
-        return self._operations.append
 
     # ------------------------------------------------------------------
     # access
@@ -153,9 +78,7 @@ class Schedule:
         return tuple(self._materialized())
 
     def __len__(self) -> int:
-        if self._slab is not None:
-            return len(self._slab)
-        return len(self._operations)
+        return len(self.slab)
 
     def __iter__(self) -> Iterator[ScheduledOperation]:
         return iter(self._materialized())
@@ -173,45 +96,37 @@ class Schedule:
     @property
     def shuttle_count(self) -> int:
         """Number of inter-trap shuttles (the Fig. 8 metric)."""
-        return self._counts[OperationKind.SHUTTLE]
+        return self.slab.counts()[OperationKind.SHUTTLE]
 
     @property
     def swap_count(self) -> int:
         """Number of inserted SWAP gates (the Fig. 9 metric)."""
-        return self._counts[OperationKind.SWAP]
+        return self.slab.counts()[OperationKind.SWAP]
 
     @property
     def two_qubit_gate_count(self) -> int:
         """Number of program two-qubit gates executed."""
-        return self._counts[OperationKind.GATE_2Q]
+        return self.slab.counts()[OperationKind.GATE_2Q]
 
     @property
     def single_qubit_gate_count(self) -> int:
         """Number of program single-qubit gates executed."""
-        return self._counts[OperationKind.GATE_1Q]
+        return self.slab.counts()[OperationKind.GATE_1Q]
 
     @property
     def space_shift_count(self) -> int:
         """Number of intra-trap ion/space reorderings."""
-        return self._counts[OperationKind.SPACE_SHIFT]
+        return self.slab.counts()[OperationKind.SPACE_SHIFT]
 
     @property
     def junction_crossings(self) -> int:
         """Total junctions crossed by all shuttles."""
-        if self._slab is not None:
-            return self._slab.junction_total()
-        return sum(
-            op.junctions for op in self._operations if isinstance(op, ShuttleOperation)
-        )
+        return self.slab.junction_total()
 
     @property
     def shuttle_segments(self) -> int:
         """Total straight segments traversed by all shuttles."""
-        if self._slab is not None:
-            return self._slab.segment_total()
-        return sum(
-            op.segments for op in self._operations if isinstance(op, ShuttleOperation)
-        )
+        return self.slab.segment_total()
 
     def count_summary(self) -> dict[str, int]:
         """All counters as a plain dictionary (for reporting)."""

@@ -21,7 +21,7 @@ stable since format version 1) or a **columnar binary encoding**
 * varint-framed qubit lists and float64 parameters for the gates.
 
 Decoding reads the columns wholesale into arrays and hands them to
-:meth:`Schedule.from_slab`, so no per-operation record objects are built
+:class:`Schedule` as its slab, so no per-operation record objects are built
 until somebody iterates the schedule — which is what makes binary disk
 hits several times cheaper than re-parsing the JSON document.
 """
@@ -315,14 +315,12 @@ def _gate_unchecked(
 def schedule_to_bytes(schedule: Schedule) -> bytes:
     """Encode a schedule (device + operation log) to the binary format.
 
-    Slab-backed schedules (the flat backend's output, or anything
-    decoded by :func:`schedule_from_bytes`) are encoded straight off
-    their columns; classic schedules are columnarised on the fly.  The
+    The schedule is encoded straight off its slab's columns.  The
     encoding is deterministic: the same schedule always produces the
     same bytes (the gate-name table is interned in first-appearance
     order).
     """
-    slab = schedule.to_slab()
+    slab = schedule.slab
     out = bytearray(SCHEDULE_MAGIC)
     out.append(SCHEDULE_BINARY_VERSION)
     _write_str(out, schedule.circuit_name)
@@ -517,4 +515,4 @@ def schedule_from_bytes(data: bytes) -> Schedule:
     slab.shift_qubits, pos = _read_ints(data, pos, n_shifts)
     slab.shift_from_positions, pos = _read_ints(data, pos, n_shifts)
     slab.shift_to_positions, pos = _read_ints(data, pos, n_shifts)
-    return Schedule.from_slab(device, circuit_name, slab)
+    return Schedule(device, circuit_name, slab)

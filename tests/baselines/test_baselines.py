@@ -2,13 +2,22 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.baselines import BASELINE_REGISTRY, DaiCompiler, MuraliCompiler
 from repro.circuit.circuit import QuantumCircuit
-from repro.circuit.library import bernstein_vazirani_circuit, ghz_circuit, qft_circuit
+from repro.circuit.library import (
+    bernstein_vazirani_circuit,
+    build_family,
+    ghz_circuit,
+    qft_circuit,
+)
 from repro.exceptions import MappingError
+from repro.hardware.presets import paper_device
 from repro.hardware.topologies import grid_device, linear_device, star_device
+from repro.schedule.serialize import schedule_to_bytes
 from repro.schedule.verify import verify_schedule
 
 
@@ -125,3 +134,31 @@ class TestRelativeBehaviour:
         circuit.cx(0, 9)
         result = DaiCompiler(device).compile(circuit)
         assert result.shuttle_count <= 2
+
+
+class TestPinnedScheduleDigests:
+    """Byte-exact baseline output: the emitters must never drift.
+
+    SHA-256 of the binary encoding of each baseline's schedule on two
+    fixed compiles, recorded when the baselines still emitted record
+    objects; slab emission must reproduce them exactly.
+    """
+
+    @pytest.mark.parametrize(
+        ("compiler", "family", "size", "topology", "capacity", "digest"),
+        (
+            ("murali", "qft", 12, "G-2x3", 4,
+             "55e405fffa1122964189d3a5adc384fdb24b598ed8afcdb44142c23de303d039"),
+            ("dai", "qft", 12, "G-2x3", 4,
+             "e562fbef09c14d06b64c853a75166bf9f457acf792e02c6ca337c8a86ba97d05"),
+            ("murali", "alt", 16, "L-4", 6,
+             "5e4ddd1e3fef09f2098ef897918e0a41c77d869e5e9016e1ec3e49b8542c3635"),
+            ("dai", "alt", 16, "L-4", 6,
+             "b9645ea84374bc1a360f2a8daa6b97f82f8790265b21799fd0050e2b8d895f58"),
+        ),
+    )
+    def test_schedule_bytes_are_pinned(self, compiler, family, size, topology, capacity, digest):
+        device = paper_device(topology, capacity=capacity)
+        result = BASELINE_REGISTRY[compiler](device).compile(build_family(family, size))
+        assert result.shuttle_count > 0
+        assert hashlib.sha256(schedule_to_bytes(result.schedule)).hexdigest() == digest

@@ -30,11 +30,11 @@ class TestOraclePasses:
         report = run_oracle(_small_scenario())
         assert report.two_qubit_gates == 3
         assert report.operations > 0
+        assert report.backends == oracle_module.DEFAULT_BACKENDS == ("naive", "flat")
         assert set(report.backends) == set(SCHEDULER_BACKENDS)
         names = set(report.checks)
         # One entry per check family must be present.
-        assert {"compile:naive", "compile:flat", "compile:incremental"} <= names
-        assert {"parity:flat", "parity:incremental"} <= names
+        assert {"compile:naive", "compile:flat", "parity:flat"} <= names
         assert {"verify:s-sync", "codec:binary", "codec:json"} <= names
         assert {"noise:s-sync:fm", "noise:s-sync:am2"} <= names
         assert {"compile:murali", "verify:murali", "compile:dai", "verify:dai"} <= names

@@ -10,13 +10,13 @@ from repro.circuit.library import build_benchmark, qft_circuit
 from repro.core.compiler import SSyncConfig
 from repro.exceptions import ReproError
 from repro.hardware.presets import paper_device
+from repro.registry import normalize_compiler_name
 from repro.runtime.jobs import (
     CompileJob,
     circuit_fingerprint,
     compile_job,
     config_fingerprint,
     device_fingerprint,
-    normalize_compiler_name,
 )
 
 
