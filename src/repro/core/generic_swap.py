@@ -127,18 +127,6 @@ class GenericSwap:
             return (self.qubit_a,)
         return (self.qubit_a, self.qubit_b)
 
-    @property
-    def touched_traps(self) -> tuple[int, ...]:
-        """The traps whose chains change when this swap is applied.
-
-        A SWAP gate reorders one chain; a shuttle changes the source and
-        the target chain (and possibly their fullness).  Everything else
-        on the device is untouched.
-        """
-        if self.target_trap is None:
-            return (self.trap,)
-        return (self.trap, self.target_trap)
-
     def reverses(self, other: "GenericSwap | None") -> bool:
         """True when applying this swap right after ``other`` undoes it."""
         if other is None or self.kind != other.kind:

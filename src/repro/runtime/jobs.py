@@ -26,6 +26,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field
+from functools import lru_cache
 from typing import Any
 
 from repro.circuit.circuit import QuantumCircuit
@@ -62,6 +63,28 @@ def circuit_fingerprint(circuit: QuantumCircuit) -> str:
 def device_fingerprint(device: QCCDDevice) -> str:
     """Content fingerprint of a device: traps, capacities and connections."""
     return _digest(device_to_dict(device))
+
+
+@lru_cache(maxsize=64)
+def _named_circuit_fingerprint(name: str) -> str:
+    """Fingerprint of a named benchmark circuit, memoised per process.
+
+    ``build_benchmark`` is deterministic, so a name always yields the
+    same gate list; a sweep repeats a handful of names across hundreds
+    of jobs, each of which would otherwise rebuild and re-serialise the
+    circuit.  Failures are not cached: a bad name raises on every call.
+    """
+    return circuit_fingerprint(build_benchmark(name))
+
+
+@lru_cache(maxsize=64, typed=True)
+def _named_device_fingerprint(name: str, capacity: int | None) -> str:
+    """Fingerprint of a named paper device, memoised per process.
+
+    ``typed`` keeps ``capacity=True`` apart from ``capacity=1``, since
+    they serialise differently.
+    """
+    return device_fingerprint(paper_device(name, capacity))
 
 
 def config_fingerprint(config: SSyncConfig | None) -> str:
@@ -141,15 +164,29 @@ class CompileJob:
         """The canonical payload hashed into the compile fingerprint.
 
         Memoised per instance — building it re-serialises the whole gate
-        list, and both fingerprints need it.
+        list, and both fingerprints need it.  Named circuits and devices
+        take their fingerprints from per-process memos keyed by name;
+        concrete objects are fingerprinted afresh, since circuits are
+        mutable.
         """
         cached = self.__dict__.get("_compile_key")
         if cached is not None:
             return cached
         spec = compiler_spec(self.compiler)
+        if isinstance(self.circuit, str):
+            circuit = _named_circuit_fingerprint(self.circuit)
+        else:
+            circuit = circuit_fingerprint(self.resolve_circuit())
+        # A per-trap capacity sequence may be unhashable: not memoised.
+        if isinstance(self.device, str) and (
+            self.capacity is None or isinstance(self.capacity, int)
+        ):
+            device = _named_device_fingerprint(self.device, self.capacity)
+        else:
+            device = device_fingerprint(self.resolve_device())
         key: dict[str, Any] = {
-            "circuit": circuit_fingerprint(self.resolve_circuit()),
-            "device": device_fingerprint(self.resolve_device()),
+            "circuit": circuit,
+            "device": device,
             "compiler": spec.name,
         }
         if spec.accepts_mapping:

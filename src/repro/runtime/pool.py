@@ -17,7 +17,10 @@ Every schedule — fresh or cached, local or from a worker — travels as
 plain serialised data and is re-evaluated in the parent process, so the
 result **records are byte-identical** across the serial, parallel and
 warm-cache paths; only the timing side-channel (``compile_time_s``,
-``from_cache``) differs.
+``from_cache``) differs.  Each entry is decoded once per run: the jobs
+sharing its compile fingerprint are all evaluated on that one schedule
+and wait, as small :class:`JobOutcome` values, for their turn in job
+order.
 
 Two service-oriented modes layer on top of the same engine:
 
@@ -60,6 +63,7 @@ from repro.exceptions import ReproError
 from repro.noise.evaluator import evaluate_schedule
 from repro.runtime.cache import CachedCompilation, CacheStats, ScheduleCache
 from repro.runtime.jobs import CompileJob, compile_job
+from repro.schedule.schedule import Schedule
 
 
 def _compile_entry(
@@ -314,17 +318,30 @@ class BatchCompiler:
 
         outcomes: list[JobOutcome] = []
         worker_pids: set[int] = set()
+        # Job indices per compile fingerprint, and the outcomes built
+        # ahead of their turn: the first job of a fingerprint to drain
+        # decodes the schedule once and evaluates every job sharing it.
+        sharers: "dict[str, list[int]]" = {}
+        for index, fingerprint in enumerate(compile_fps):
+            sharers.setdefault(fingerprint, []).append(index)
+        built: "dict[int, JobOutcome]" = {}
 
         def _drain() -> None:
             """Emit every job whose compilation is resolved, in job order."""
             while len(outcomes) < len(jobs):
-                fingerprint = compile_fps[len(outcomes)]
-                entry = entries.get(fingerprint)
-                if entry is None:
-                    return
-                outcome = self._build_outcome(
-                    jobs[len(outcomes)], fingerprint, entry, from_cache[fingerprint]
-                )
+                index = len(outcomes)
+                if index not in built:
+                    fingerprint = compile_fps[index]
+                    entry = entries.get(fingerprint)
+                    if entry is None:
+                        return
+                    schedule = entry.schedule()
+                    for sharer in sharers[fingerprint]:
+                        built[sharer] = self._build_outcome(
+                            jobs[sharer], fingerprint, entry, schedule,
+                            from_cache[fingerprint],
+                        )
+                outcome = built.pop(index)
                 outcomes.append(outcome)
                 if on_outcome is not None:
                     on_outcome(outcome)
@@ -525,9 +542,11 @@ class BatchCompiler:
         job: CompileJob,
         compile_fingerprint: str,
         entry: CachedCompilation,
+        schedule: Schedule,
         cached: bool,
     ) -> JobOutcome:
-        schedule = entry.schedule()
+        """Evaluate ``job`` on ``entry``'s decoded ``schedule`` (read only,
+        so one decode serves every job sharing the compile fingerprint)."""
         implementation = job.resolved_gate_implementation()
         evaluation = evaluate_schedule(
             schedule, gate_implementation=implementation, heating=job.heating

@@ -152,12 +152,3 @@ class TestCandidateGeneration:
         shuttle = next(c for c in candidates if c.kind is GenericSwapKind.SHUTTLE)
         assert shuttle.weight == pytest.approx(2.0)
 
-
-class TestApplyUndo:
-    """What applying a generic swap changes."""
-
-    def test_touched_traps(self):
-        swap = GenericSwap(GenericSwapKind.SWAP_GATE, 0, 2, 0, None, 0.002)
-        shuttle = GenericSwap(GenericSwapKind.SHUTTLE, 2, None, 0, 1, 1.0)
-        assert swap.touched_traps == (0,)
-        assert shuttle.touched_traps == (0, 1)

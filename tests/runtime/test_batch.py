@@ -14,8 +14,9 @@ from repro.analysis.sweeps import (
 )
 from repro.circuit.library import qft_circuit
 from repro.hardware.topologies import grid_device
+from repro.noise.heating import HeatingParameters
 from repro.runtime.api import run_batch, run_sweep
-from repro.runtime.cache import ScheduleCache
+from repro.runtime.cache import CachedCompilation, ScheduleCache
 from repro.runtime.jobs import CompileJob
 from repro.runtime.pool import BatchCompiler
 
@@ -102,6 +103,70 @@ class TestCaching:
         assert result.compilations == 1
         success_rates = {row["success_rate"] for row in result.records()}
         assert len(success_rates) > 1  # evaluations really differ per implementation
+
+
+class TestDecodeOnce:
+    """Each compile entry is decoded once per run, however many jobs
+    share its fingerprint, without changing any record."""
+
+    @staticmethod
+    def _jobs():
+        # Two circuits x four gate implementations, interleaved so jobs
+        # sharing a fingerprint are not adjacent, plus one more job on the
+        # first fingerprint with a non-default heating model.
+        jobs = [
+            CompileJob(
+                circuit=circuit, device="G-2x2", capacity=4,
+                gate_implementation=implementation, label=f"{circuit}-{implementation}",
+            )
+            for implementation in ("fm", "pm", "am1", "am2")
+            for circuit in ("qft_10", "bv_12")
+        ]
+        jobs.append(
+            CompileJob(
+                circuit="qft_10", device="G-2x2", capacity=4, label="qft_10-fm",
+                heating=HeatingParameters(k1=0.5, background_rate_per_s=50.0),
+            )
+        )
+        return jobs
+
+    def test_one_decode_per_fingerprint_on_cold_and_warm_runs(self, tmp_path, monkeypatch):
+        jobs = self._jobs()
+        distinct = len({job.compile_fingerprint() for job in jobs})
+        assert distinct == 2
+        reference = b"".join(_record_bytes(run_batch([job], workers=1)) for job in jobs)
+
+        decodes = []
+        real_schedule = CachedCompilation.schedule
+
+        def counting_schedule(entry):
+            decodes.append(entry)
+            return real_schedule(entry)
+
+        monkeypatch.setattr(CachedCompilation, "schedule", counting_schedule)
+        cold = run_batch(jobs, workers=1, cache=ScheduleCache(directory=tmp_path))
+        assert cold.compilations == distinct
+        assert len(decodes) == distinct
+        decodes.clear()
+        warm = run_batch(jobs, workers=1, cache=ScheduleCache(directory=tmp_path))
+        assert warm.compilations == 0
+        assert len(decodes) == distinct
+
+        for result in (cold, warm):
+            assert [o.job for o in result] == jobs
+            per_job = b"".join(
+                json.dumps([record], sort_keys=True).encode() for record in result.records()
+            )
+            assert per_job == reference
+
+    def test_heating_job_differs_only_in_success(self):
+        records = run_batch(self._jobs(), workers=1).records()
+        default, heated = records[0], records[-1]
+        assert default["label"] == heated["label"] == "qft_10-fm"
+        assert default["shuttles"] > 0
+        changed = {key for key in default if default[key] != heated[key]}
+        assert changed == {"success_rate", "log_success_rate"}
+        assert heated["log_success_rate"] < default["log_success_rate"]
 
 
 class TestConcurrentRuns:

@@ -6,6 +6,7 @@ import multiprocessing
 
 import pytest
 
+import repro.runtime.jobs as jobs_module
 from repro.circuit.library import build_benchmark, qft_circuit
 from repro.core.compiler import SSyncConfig
 from repro.exceptions import ReproError
@@ -13,11 +14,16 @@ from repro.hardware.presets import paper_device
 from repro.registry import normalize_compiler_name
 from repro.runtime.jobs import (
     CompileJob,
+    _named_circuit_fingerprint,
+    _named_device_fingerprint,
     circuit_fingerprint,
     compile_job,
     config_fingerprint,
     device_fingerprint,
 )
+
+#: One small circuit of every family the Figs. 8-12 sweep grid uses.
+_SWEEP_FAMILY_CIRCUITS = ("qft_10", "adder_4", "qaoa_8", "alt_8", "bv_10", "heisenberg_8")
 
 
 def _fingerprints_in_subprocess(queue):
@@ -39,9 +45,11 @@ class TestFingerprints:
         assert remote == (job.compile_fingerprint(), job.fingerprint())
 
     def test_named_and_concrete_specs_agree(self):
-        by_name = CompileJob(circuit="qft_10", device="G-2x2")
-        concrete = CompileJob(circuit=build_benchmark("qft_10"), device=paper_device("G-2x2"))
-        assert by_name.compile_fingerprint() == concrete.compile_fingerprint()
+        for name in _SWEEP_FAMILY_CIRCUITS:
+            by_name = CompileJob(circuit=name, device="G-2x2")
+            concrete = CompileJob(circuit=build_benchmark(name), device=paper_device("G-2x2"))
+            assert by_name.compile_fingerprint() == concrete.compile_fingerprint(), name
+            assert by_name.fingerprint() == concrete.fingerprint(), name
 
     def test_default_config_is_canonical(self):
         assert (
@@ -87,6 +95,62 @@ class TestFingerprints:
         assert device_fingerprint(paper_device("G-2x2", 6)) != device_fingerprint(
             paper_device("G-2x2", 8)
         )
+
+
+class TestNamedFingerprintMemo:
+    """Named circuits and devices are fingerprinted once per process."""
+
+    @pytest.fixture
+    def build_calls(self, monkeypatch):
+        calls: list[str] = []
+        real = jobs_module.build_benchmark
+
+        def counting(name):
+            calls.append(name)
+            return real(name)
+
+        monkeypatch.setattr(jobs_module, "build_benchmark", counting)
+        _named_circuit_fingerprint.cache_clear()
+        yield calls
+        _named_circuit_fingerprint.cache_clear()
+
+    def test_one_build_per_circuit_name(self, build_calls):
+        first = CompileJob(circuit="qft_10", device="G-2x2")
+        second = CompileJob(circuit="qft_10", device="L-4", gate_implementation="am2")
+        first.compile_fingerprint()
+        second.fingerprint()
+        assert build_calls == ["qft_10"]
+
+    def test_bad_name_raises_every_time(self, build_calls):
+        for _ in range(2):
+            with pytest.raises(ReproError):
+                CompileJob(circuit="qft", device="G-2x2").compile_fingerprint()
+        assert build_calls == ["qft", "qft"]
+
+    def test_device_memo_sees_capacity(self):
+        assert _named_device_fingerprint("G-2x2", 6) != _named_device_fingerprint("G-2x2", 8)
+        assert _named_device_fingerprint("G-2x2", 6) == device_fingerprint(
+            paper_device("G-2x2", 6)
+        )
+        assert _named_device_fingerprint("G-2x2", None) == device_fingerprint(
+            paper_device("G-2x2")
+        )
+        assert (
+            CompileJob(circuit="qft_10", device="G-2x2", capacity=6).compile_fingerprint()
+            != CompileJob(circuit="qft_10", device="G-2x2", capacity=8).compile_fingerprint()
+        )
+
+    def test_per_trap_capacity_sequence_bypasses_the_memo(self):
+        expected = device_fingerprint(paper_device("G-2x2", [4, 5, 6, 7]))
+        for capacity in ([4, 5, 6, 7], (4, 5, 6, 7)):
+            job = CompileJob(circuit="qft_10", device="G-2x2", capacity=capacity)
+            assert job.compile_key()["device"] == expected
+
+    def test_mixed_case_name_fingerprints_like_lower_case(self):
+        upper = CompileJob(circuit="QFT_10", device="G-2x2")
+        lower = CompileJob(circuit="qft_10", device="G-2x2")
+        assert upper.compile_fingerprint() == lower.compile_fingerprint()
+        assert upper.fingerprint() == lower.fingerprint()
 
 
 class TestJobResolution:
