@@ -64,8 +64,11 @@ class JobCancelledError(ReproError):
 
 
 class ServiceError(ReproError):
-    """Raised by the compilation-service client for error responses.
+    """An error response of the compilation service.
 
+    Raised by the client, and by a service backend that answers with an
+    error of its own (a fleet relaying a worker, a ``409`` cancel); the
+    HTTP handler sends an ``{"error": ...}`` ``payload`` back verbatim.
     Carries the HTTP ``status`` and the structured error ``payload``
     (the parsed JSON body) alongside the message.
     """

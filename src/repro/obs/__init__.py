@@ -28,6 +28,7 @@ from repro.obs.metrics import (
     ParsedMetric,
     Sample,
     format_value,
+    merge_expositions,
     parse_exposition,
 )
 from repro.obs.service import ServiceMetrics
@@ -45,5 +46,6 @@ __all__ = [
     "Sample",
     "ServiceMetrics",
     "format_value",
+    "merge_expositions",
     "parse_exposition",
 ]

@@ -28,7 +28,9 @@ Design points, in the spirit of the official client libraries:
 
 :func:`parse_exposition` is the inverse of :meth:`MetricsRegistry.render`
 — a small parser the CLI pretty-printer and the reconciliation tests use
-to consume the text format without regex soup.
+to consume the text format without regex soup.  :func:`merge_expositions`
+sums several expositions (a fleet's workers) sample by sample and renders
+the result with the same code as :meth:`MetricsRegistry.render`.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import math
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from repro.exceptions import ReproError
 
@@ -121,6 +123,27 @@ class Sample:
 
     def labels_dict(self) -> dict[str, str]:
         return dict(self.labels)
+
+
+def _render_sample(sample: Sample) -> str:
+    if sample.labels:
+        rendered = ",".join(
+            f'{label}="{_escape_label_value(value)}"' for label, value in sample.labels
+        )
+        return f"{sample.name}{{{rendered}}} {format_value(sample.value)}"
+    return f"{sample.name} {format_value(sample.value)}"
+
+
+def _render_families(
+    families: "Iterable[tuple[str, str, str, Iterable[Sample]]]",
+) -> "list[str]":
+    """Exposition lines of ``(name, kind, help, samples)`` families."""
+    lines: list[str] = []
+    for name, kind, help_text, samples in families:
+        lines.append(f"# HELP {name} {_escape_help(help_text)}")
+        lines.append(f"# TYPE {name} {kind}")
+        lines.extend(_render_sample(sample) for sample in samples)
+    return lines
 
 
 class _Child:
@@ -502,21 +525,10 @@ class MetricsRegistry:
 
     def render(self) -> str:
         """The full Prometheus text-format exposition (version 0.0.4)."""
-        lines: list[str] = []
-        for family in self.collect():
-            lines.append(f"# HELP {family.name} {_escape_help(family.help)}")
-            lines.append(f"# TYPE {family.name} {family.kind}")
-            for sample in family.samples():
-                if sample.labels:
-                    rendered = ",".join(
-                        f'{label}="{_escape_label_value(value)}"'
-                        for label, value in sample.labels
-                    )
-                    lines.append(
-                        f"{sample.name}{{{rendered}}} {format_value(sample.value)}"
-                    )
-                else:
-                    lines.append(f"{sample.name} {format_value(sample.value)}")
+        lines = _render_families(
+            (family.name, family.kind, family.help, family.samples())
+            for family in self.collect()
+        )
         return "\n".join(lines) + "\n"
 
 
@@ -585,6 +597,39 @@ def parse_exposition(text: str) -> "dict[str, ParsedMetric]":
         sample = _parse_sample_line(line)
         family(sample.name).samples.append(sample)
     return families
+
+
+def merge_expositions(texts: Iterable[str]) -> str:
+    """Sum several expositions into one, sample by sample.
+
+    Samples with the same name and label set are added, so counters
+    become totals and gauges sums; histogram ``_bucket``/``_sum``/
+    ``_count`` series add like any other sample.  A family keeps the
+    kind and help of its first appearance, and families and samples keep
+    first-seen order, so merging one :meth:`MetricsRegistry.render`
+    output returns it unchanged.  No input samples render as ``""``.
+    """
+    families: "dict[str, ParsedMetric]" = {}
+    totals: "dict[str, dict[tuple, float]]" = {}
+    for text in texts:
+        for name, family in parse_exposition(text).items():
+            if name not in families:
+                families[name] = family
+                totals[name] = {}
+            sums = totals[name]
+            for sample in family.samples:
+                key = (sample.name, sample.labels)
+                sums[key] = sums.get(key, 0) + sample.value
+    lines = _render_families(
+        (
+            name,
+            family.kind,
+            family.help,
+            (Sample(*key, value) for key, value in totals[name].items()),
+        )
+        for name, family in families.items()
+    )
+    return "\n".join(lines) + "\n" if lines else ""
 
 
 def _parse_sample_line(line: str) -> Sample:

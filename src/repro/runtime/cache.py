@@ -15,10 +15,9 @@ replays identically to a fresh compilation no matter which process
 produced it.  The on-disk **format v3** entry is a small binary
 envelope: a magic + version header, a varint-framed JSON metadata
 header (compiler/mapping names, compile time, statistics, pass timings
-— no sidecar file), then the columnar schedule blob.  Entries written
-by format v2 (one pretty JSON document per fingerprint) remain
-readable: a disk hit on a legacy ``*.json`` entry decodes it, rewrites
-it as ``*.sched`` in place, and counts a ``migrations`` statistic.
+— no sidecar file), then the columnar schedule blob.  Files of any
+other format in the directory (such as the ``*.json`` entries of format
+v2) are ignored: never read, counted, swept or deleted.
 
 The cache is **thread-safe**: an internal lock guards the LRU table and
 the counters, so any number of concurrently running batches (the service
@@ -46,7 +45,6 @@ from repro.schedule.schedule import Schedule
 from repro.schedule.serialize import (
     read_varint,
     schedule_from_bytes,
-    schedule_from_dict,
     schedule_to_bytes,
     schedule_to_dict,
     write_varint,
@@ -55,12 +53,8 @@ from repro.schedule.serialize import (
 #: Format marker of on-disk cache entries.  Version 2 added the scheduler
 #: statistics and per-pass timings alongside the schedule; version 3
 #: switched the on-disk representation from one JSON document per entry
-#: to the binary ``.sched`` envelope (JSON v2 entries stay readable and
-#: are migrated on hit).
+#: to the binary ``.sched`` envelope, the only format read.
 CACHE_FORMAT_VERSION = 3
-
-#: Oldest on-disk format this library still reads (the JSON era).
-CACHE_COMPAT_VERSIONS = (2, 3)
 
 #: Magic prefix of a binary ``.sched`` cache entry.
 ENTRY_MAGIC = b"RCEN"
@@ -76,7 +70,6 @@ class CacheStats:
     evictions: int = 0
     disk_hits: int = 0
     disk_evictions: int = 0
-    migrations: int = 0
     network_hits: int = 0
     network_misses: int = 0
     network_stores: int = 0
@@ -91,7 +84,6 @@ class CacheStats:
             "evictions": self.evictions,
             "disk_hits": self.disk_hits,
             "disk_evictions": self.disk_evictions,
-            "migrations": self.migrations,
             "network_hits": self.network_hits,
             "network_misses": self.network_misses,
             "network_stores": self.network_stores,
@@ -203,29 +195,6 @@ class CachedCompilation:
         }
 
     @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "CachedCompilation":
-        """Parse a dict-form entry (current, or the legacy v2 JSON format)."""
-        version = data.get("format_version")
-        if version not in CACHE_COMPAT_VERSIONS:
-            raise ReproError(
-                f"unsupported cache entry format version {version!r} "
-                f"(this library writes version {CACHE_FORMAT_VERSION})"
-            )
-        try:
-            # Both versions carry the schedule as a JSON tree here; the
-            # blob is rebuilt through one decode/encode round-trip.
-            return cls(
-                compiler_name=data["compiler_name"],
-                mapping_name=data["mapping_name"],
-                compile_time_s=data["compile_time_s"],
-                schedule_blob=schedule_to_bytes(schedule_from_dict(data["schedule"])),
-                statistics=dict(data.get("statistics", {})),
-                pass_timings=tuple(dict(t) for t in data.get("pass_timings", ())),
-            )
-        except KeyError as exc:
-            raise ReproError(f"cache entry is missing the {exc.args[0]!r} field") from exc
-
-    @classmethod
     def from_result(cls, result: "Any") -> "CachedCompilation":
         """Build an entry from a :class:`~repro.core.result.CompilationResult`."""
         return cls(
@@ -248,10 +217,7 @@ class ScheduleCache:
     directory:
         When given, every stored entry is also written to
         ``<directory>/<fingerprint>.sched`` and memory misses fall back
-        to disk (promoting hits back into memory).  Legacy
-        ``<fingerprint>.json`` entries written by format v2 are still
-        served and are rewritten in the binary format on their first
-        hit.
+        to disk (promoting hits back into memory).
     max_disk_bytes:
         Optional byte budget for the on-disk tier.  After every disk
         write, the least-recently-used entry files (by mtime — disk
@@ -293,26 +259,19 @@ class ScheduleCache:
         # entries through ``_insert`` while already holding it.
         self._lock = threading.RLock()
         # Bytes serialised to disk, keyed by codec ("binary" for .sched
-        # writes; legacy JSON writes no longer happen but the label space
-        # stays open).  Guarded by the lock; exposed by the scrape-time
+        # writes).  Guarded by the lock; exposed by the scrape-time
         # collector when metrics are bound.
         self._serialize_bytes: dict[str, int] = {}
         # Live decode-latency histogram, attached by bind_metrics().
         self._decode_histogram: "Any | None" = None
 
-    #: Glob patterns of the on-disk entry files, newest format first.
-    _ENTRY_GLOBS = ("*.sched", "*.json")
-
     # ------------------------------------------------------------------
     # observability
     # ------------------------------------------------------------------
     def _entry_paths(self) -> "list[Path]":
-        """Every entry file on disk — current ``.sched`` and legacy ``.json``."""
+        """Every ``.sched`` entry file on disk."""
         assert self.directory is not None
-        paths: list[Path] = []
-        for pattern in self._ENTRY_GLOBS:
-            paths.extend(self.directory.glob(pattern))
-        return paths
+        return list(self.directory.glob("*.sched"))
 
     def disk_bytes(self) -> int:
         """Total size of the on-disk entry files (0 without a disk tier)."""
@@ -392,11 +351,6 @@ class ScheduleCache:
         )
         evictions.labels(tier="memory").inc(stats.evictions)
         evictions.labels(tier="disk").inc(stats.disk_evictions)
-        migrations = Counter(
-            "repro_cache_migrations_total",
-            "Legacy JSON cache entries rewritten in the binary format on hit.",
-        )
-        migrations.inc(stats.migrations)
         serialized = Counter(
             "repro_serialize_bytes_total",
             "Bytes of cache entries serialised to disk, by codec.",
@@ -422,7 +376,6 @@ class ScheduleCache:
             stores,
             network_errors,
             evictions,
-            migrations,
             serialized,
             memory_entries,
             disk_files,
@@ -465,11 +418,6 @@ class ScheduleCache:
         if path is not None:
             entry = self._read_disk_entry(path)
             if entry is not None:
-                if path.suffix == ".json":
-                    # Legacy v2 entry: rewrite it in the binary format so
-                    # the next hit decodes the fast path, and so the file
-                    # the budget sweep sees carries today's mtime.
-                    path = self._migrate_legacy_entry(fingerprint, entry, path)
                 with self._lock:
                     self._insert(fingerprint, entry)
                     self.stats.hits += 1
@@ -540,6 +488,32 @@ class ScheduleCache:
             return self._read_disk_entry(path)
         return None
 
+    def entry_bytes(self, fingerprint: str) -> "bytes | None":
+        """One entry as its binary ``RCEN`` bytes (a network tier's GET).
+
+        The exact payload a peer's
+        :class:`~repro.runtime.cache_tier.HttpCacheTier` feeds to
+        :meth:`CachedCompilation.from_bytes`.  Uses :meth:`peek`: remote
+        probes must not skew this cache's statistics or recency.
+        """
+        entry = self.peek(fingerprint)
+        return None if entry is None else entry.to_bytes()
+
+    def store_bytes(self, fingerprint: str, payload: bytes) -> bool:
+        """Store a binary entry pushed by a peer (a network tier's PUT).
+
+        A payload that does not parse as a current-format entry is
+        refused (``False``) rather than stored, so one bad peer cannot
+        poison a shared tier.  Stored with ``propagate=False``: an
+        inbound PUT must not echo back out to this cache's own tiers.
+        """
+        try:
+            entry = CachedCompilation.from_bytes(payload)
+        except Exception:  # noqa: BLE001 - any parse failure is a refusal
+            return False
+        self.put(fingerprint, entry, propagate=False)
+        return True
+
     def put(
         self, fingerprint: str, entry: CachedCompilation, propagate: bool = True
     ) -> "tuple[int, int]":
@@ -566,13 +540,6 @@ class ScheduleCache:
         if self.directory is not None:
             path = self._disk_path(fingerprint)
             payload = self._write_entry_file(path, entry)
-            # A v2-era file for the same fingerprint is now stale — the
-            # .sched entry supersedes it.
-            legacy = path.with_suffix(".json")
-            try:
-                legacy.unlink()
-            except OSError:
-                pass
             if self.max_disk_bytes is not None:
                 disk_evictions = self._enforce_disk_budget(keep=path)
                 if disk_evictions:
@@ -651,14 +618,11 @@ class ScheduleCache:
         return self.directory / f"{fingerprint}.sched"
 
     def _disk_path_if_present(self, fingerprint: str) -> Path | None:
-        """The on-disk file serving ``fingerprint`` — ``.sched`` wins."""
+        """The on-disk file serving ``fingerprint``, if there is one."""
         if self.directory is None:
             return None
         path = self._disk_path(fingerprint)
-        if path.exists():
-            return path
-        legacy = path.with_suffix(".json")
-        return legacy if legacy.exists() else None
+        return path if path.exists() else None
 
     def _write_entry_file(self, path: Path, entry: CachedCompilation) -> bytes:
         """Atomically write ``entry`` in the binary format at ``path``.
@@ -678,22 +642,8 @@ class ScheduleCache:
             )
         return payload
 
-    def _migrate_legacy_entry(
-        self, fingerprint: str, entry: CachedCompilation, legacy_path: Path
-    ) -> Path:
-        """Rewrite a v2 JSON entry as a ``.sched`` file; returns the new path."""
-        path = self._disk_path(fingerprint)
-        self._write_entry_file(path, entry)
-        try:
-            legacy_path.unlink()
-        except OSError:  # pragma: no cover - file raced away
-            pass
-        with self._lock:
-            self.stats.migrations += 1
-        return path
-
     def _read_disk_entry(self, path: Path) -> CachedCompilation | None:
-        """Decode one on-disk entry file (either format); ``None`` skips it.
+        """Decode one on-disk ``.sched`` entry file; ``None`` skips it.
 
         An entry written by an older (or newer) library version is a
         cache miss, not an error: the caller recompiles and overwrites it
@@ -701,23 +651,14 @@ class ScheduleCache:
         they signal corruption, not version skew.
         """
         started = time.perf_counter()
-        if path.suffix == ".sched":
-            raw = path.read_bytes()
-            if len(raw) > len(ENTRY_MAGIC) and raw[: len(ENTRY_MAGIC)] == ENTRY_MAGIC:
-                if raw[len(ENTRY_MAGIC)] != CACHE_FORMAT_VERSION:
-                    return None
-            try:
-                entry = CachedCompilation.from_bytes(raw)
-            except ReproError as exc:
-                raise ReproError(f"corrupt cache entry {path}: {exc}") from exc
-        else:
-            try:
-                data = json.loads(path.read_text())
-            except json.JSONDecodeError as exc:
-                raise ReproError(f"corrupt cache entry {path}: {exc}") from exc
-            if data.get("format_version") not in CACHE_COMPAT_VERSIONS:
+        raw = path.read_bytes()
+        if len(raw) > len(ENTRY_MAGIC) and raw[: len(ENTRY_MAGIC)] == ENTRY_MAGIC:
+            if raw[len(ENTRY_MAGIC)] != CACHE_FORMAT_VERSION:
                 return None
-            entry = CachedCompilation.from_dict(data)
+        try:
+            entry = CachedCompilation.from_bytes(raw)
+        except ReproError as exc:
+            raise ReproError(f"corrupt cache entry {path}: {exc}") from exc
         histogram = self._decode_histogram
         if histogram is not None:
             histogram.observe(time.perf_counter() - started)

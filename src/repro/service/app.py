@@ -34,6 +34,7 @@ import time
 from pathlib import Path
 from typing import Any, Iterator
 
+from repro.exceptions import ServiceError
 from repro.hardware.presets import paper_device
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.service import ServiceMetrics
@@ -381,6 +382,20 @@ class CompilationService:
         document = manifest_document_from_text(body)
         return self.submit_document(document, priority=priority)
 
+    def submit_body(
+        self, body: "str | bytes", priority: int = 0
+    ) -> "tuple[int, dict[str, object]]":
+        """``POST /v1/jobs``: the HTTP status (202 new, 200 deduplicated)
+        and the submission receipt."""
+        job, resubmitted = self.submit_text(body, priority=priority)
+        return 200 if resubmitted else 202, {
+            "job_id": job.job_id,
+            "status": job.status,
+            "jobs": len(job.jobs),
+            "resubmitted": resubmitted,
+            "results_path": f"/v1/jobs/{job.job_id}/results",
+        }
+
     def _enqueue(
         self, jobs: list, priority: int, document: Any
     ) -> "tuple[ServiceJob, bool]":
@@ -444,12 +459,36 @@ class CompilationService:
             self._on_transition(job, "cancelled")
         return job, accepted
 
+    def cancel_job(self, job_id: str) -> dict[str, object]:
+        """``DELETE /v1/jobs/<id>``: :meth:`cancel` as a JSON payload.
+
+        Raises :class:`KeyError` for unknown ids and a 409
+        :class:`ServiceError` when the job was already terminal.
+        """
+        job, accepted = self.cancel(job_id)
+        if not accepted:
+            message = f"job {job_id!r} already reached terminal state {job.status!r}"
+            error = {"type": "job_finished", "message": message, "status": 409}
+            raise ServiceError(message, status=409, payload={"error": error})
+        return {
+            "job_id": job.job_id,
+            "status": job.status,
+            "cancel_requested": job.cancel_requested,
+        }
+
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
     def job(self, job_id: str) -> ServiceJob | None:
         """The job record for an id, or ``None``."""
         return self.store.get(job_id)
+
+    def job_status(self, job_id: str) -> dict[str, object]:
+        """One job's status payload; :class:`KeyError` for unknown ids."""
+        job = self.store.get(job_id)
+        if job is None:
+            raise KeyError(job_id)
+        return job.status_payload()
 
     def jobs_payload(
         self, offset: int = 0, limit: int | None = None
@@ -564,35 +603,12 @@ class CompilationService:
         yield self._encoded_end_line(job)
 
     def cache_entry_bytes(self, compile_fingerprint: str) -> "bytes | None":
-        """One cache entry as raw binary bytes (``GET /v1/cache/<fp>``).
-
-        The server half of the network cache tier: answers the exact
-        ``RCEN`` payload a peer's :class:`HttpCacheTier` will feed to
-        :meth:`CachedCompilation.from_bytes`.  Uses :meth:`peek` —
-        remote probes must not skew this node's hit/miss statistics.
-        """
-        entry = self.engine.cache.peek(compile_fingerprint)
-        if entry is None:
-            return None
-        return entry.to_bytes()
+        """``GET /v1/cache/<fp>``: see :meth:`ScheduleCache.entry_bytes`."""
+        return self.engine.cache.entry_bytes(compile_fingerprint)
 
     def cache_store_bytes(self, compile_fingerprint: str, payload: bytes) -> bool:
-        """Accept a binary cache entry pushed by a peer (``PUT /v1/cache``).
-
-        The body must parse as a current-format entry — a corrupt or
-        foreign payload is refused (``False``) rather than stored, so one
-        bad peer cannot poison the shared tier.  Stored with
-        ``propagate=False``: an inbound PUT must not echo back out to
-        this node's own tiers.
-        """
-        from repro.runtime.cache import CachedCompilation
-
-        try:
-            entry = CachedCompilation.from_bytes(payload)
-        except Exception:  # noqa: BLE001 - any parse failure is a refusal
-            return False
-        self.engine.cache.put(compile_fingerprint, entry, propagate=False)
-        return True
+        """``PUT /v1/cache/<fp>``: see :meth:`ScheduleCache.store_bytes`."""
+        return self.engine.cache.store_bytes(compile_fingerprint, payload)
 
     def schedule_payload(self, compile_fingerprint: str) -> dict[str, object] | None:
         """The cached compilation stored under a compile fingerprint.
@@ -641,6 +657,17 @@ class CompilationService:
     def metrics_text(self) -> str:
         """The Prometheus exposition behind ``GET /v1/metrics``."""
         return self.metrics.render()
+
+    def observe_request(
+        self, method: str, route: str, status: int, seconds: float
+    ) -> None:
+        """Count one served HTTP request and observe its latency."""
+        self.metrics.http_requests.labels(
+            method=method, route=route, status=str(status)
+        ).inc()
+        # Streaming results hold the connection open while results
+        # land, so that route's latency measures time-to-last-byte.
+        self.metrics.http_latency.labels(method=method, route=route).observe(seconds)
 
     def health_payload(self) -> dict[str, object]:
         """Liveness plus the numbers an operator wants at a glance.

@@ -32,19 +32,23 @@ resuming the stream at the first line the client has not yet seen.
 Compilation is deterministic and the schedule cache is shared, so a
 failover replay streams the same bytes the dead worker would have sent.
 
-Aggregated read endpoints: ``GET /v1/jobs`` merges every worker's job
-table (newest-last, one consistent pagination), ``GET /v1/healthz``
-reports per-worker liveness plus fleet totals, ``GET /v1/metrics`` sums
-every worker's Prometheus exposition sample-by-sample and appends the
-router's own ``repro_fleet_*`` families, and ``GET /v1/fleet`` describes
-the topology.  Everything is standard library, like the rest of the
-service stack.
+The router speaks through the same HTTP handler as a worker
+(:class:`~repro.service.server.ServiceRequestHandler`): :class:`FleetRouter`
+implements its backend protocol.  Aggregated read endpoints:
+``GET /v1/jobs`` merges every worker's job table (newest-last, one
+consistent pagination), ``GET /v1/healthz`` reports per-worker liveness
+plus fleet totals, ``GET /v1/metrics`` sums every worker's Prometheus
+exposition sample-by-sample
+(:func:`~repro.obs.metrics.merge_expositions`) and appends the router's
+own ``repro_fleet_*`` families, and ``GET /v1/fleet`` (router only)
+describes the topology.  Everything is standard library, like the rest
+of the service stack.
 """
 
 from __future__ import annotations
 
 import http.client
-import json
+import itertools
 import logging
 import multiprocessing
 import signal
@@ -54,26 +58,13 @@ from http.server import ThreadingHTTPServer
 from pathlib import Path
 from typing import Any, Iterator
 
-from repro.exceptions import ManifestError, ReproError, ServiceError
-from repro.obs.metrics import (
-    CONTENT_TYPE as METRICS_CONTENT_TYPE,
-    Counter,
-    Gauge,
-    MetricsRegistry,
-    ParsedMetric,
-    Sample,
-    format_value,
-    parse_exposition,
-)
-from repro.runtime.cache import CachedCompilation, ScheduleCache
+from repro.exceptions import ReproError, ServiceError
+from repro.obs.metrics import Counter, Gauge, MetricsRegistry, merge_expositions
+from repro.runtime.cache import ScheduleCache
 from repro.runtime.manifest import jobs_from_manifest, manifest_document_from_text
 from repro.service.client import ServiceClient
 from repro.service.jobs import job_batch_id
-from repro.service.server import (
-    MAX_BODY_BYTES,
-    ServiceRequestHandler,
-    _route_template,
-)
+from repro.service.server import ServiceRequestHandler
 
 logger = logging.getLogger("repro.service.fleet")
 
@@ -168,7 +159,11 @@ class FleetWorker:
 
 
 class FleetRouter:
-    """Owns the worker fleet, the shared cache tier and the routing state."""
+    """Owns the worker fleet, the shared cache tier and the routing state.
+
+    Implements :class:`~repro.service.server.ServiceBackend`: the router's
+    HTTP surface is the worker's handler over this object.
+    """
 
     def __init__(
         self,
@@ -376,11 +371,14 @@ class FleetRouter:
                 del self._bodies[dropped]
                 self._overrides.pop(dropped, None)
 
-    def submit(self, body: bytes, priority: int = 0) -> dict[str, Any]:
+    def submit_body(
+        self, body: bytes, priority: int = 0
+    ) -> "tuple[int, dict[str, Any]]":
         """Route one manifest submission to its shard (with failover).
 
-        Raises :class:`~repro.exceptions.ManifestError` for bodies the
-        fleet cannot even derive a job id from, and the worker's own
+        Returns the HTTP status and the owning worker's receipt.  Raises
+        :class:`~repro.exceptions.ManifestError` for bodies the fleet
+        cannot even derive a job id from, and the worker's own
         :class:`ServiceError` when the shard rejects the submission.
         """
         document = manifest_document_from_text(body)
@@ -401,7 +399,7 @@ class FleetRouter:
             worker.jobs_routed += 1
             self.routed.labels(worker=str(worker.index)).inc()
             self._remember(job_id, worker, body, priority)
-            return receipt
+            return 200 if receipt.get("resubmitted") else 202, receipt
         raise last_error or ServiceError("no alive fleet workers", status=503)
 
     def _resubmit_elsewhere(
@@ -427,8 +425,24 @@ class FleetRouter:
             return True
         return False
 
-    def stream_results(
+    def stream_encoded(
         self, job_id: str, timeout: "float | None" = None
+    ) -> Iterator[bytes]:
+        """The result stream of ``job_id`` as raw lines, failing over on death.
+
+        The first line is pulled before this returns, so an unknown job
+        (:class:`KeyError`) or a refusing fleet (:class:`ServiceError`)
+        raises while the caller can still answer with an error status.
+        """
+        lines = self._stream_lines(job_id, timeout)
+        try:
+            first = next(lines)
+        except StopIteration:
+            return iter(())
+        return itertools.chain((first,), lines)
+
+    def _stream_lines(
+        self, job_id: str, timeout: "float | None"
     ) -> Iterator[bytes]:
         """Yield raw result lines for ``job_id``, failing over on death.
 
@@ -491,12 +505,24 @@ class FleetRouter:
             return
         raise ServiceError(f"results for {job_id} kept failing over", status=503)
 
-    def proxy_job(self, job_id: str) -> dict[str, Any]:
+    def job_status(self, job_id: str) -> dict[str, Any]:
         """Status lookup, walking shards when the assignment is stale."""
         return self._proxy(job_id, lambda client: client.job(job_id))
 
-    def proxy_cancel(self, job_id: str) -> dict[str, Any]:
+    def cancel_job(self, job_id: str) -> dict[str, Any]:
         return self._proxy(job_id, lambda client: client.cancel(job_id))
+
+    def _any_worker(self) -> ServiceClient:
+        for worker in self._alive_from(0):
+            return worker.client
+        raise ServiceError("no alive fleet workers", status=503)
+
+    def schedule_payload(self, compile_fingerprint: str) -> dict[str, Any]:
+        """One worker's cached-schedule lookup (its 404 is relayed)."""
+        return self._any_worker().schedule(compile_fingerprint)
+
+    def compilers_payload(self) -> list[dict[str, Any]]:
+        return self._any_worker().compilers()
 
     def _proxy(self, job_id: str, call: Any) -> dict[str, Any]:
         worker = self.assigned_worker(job_id)
@@ -582,39 +608,21 @@ class FleetRouter:
         ``repro_service_info`` sums to the number of alive workers on
         that version — a liveness signal in its own right).
         """
-        merged: "dict[str, ParsedMetric]" = {}
-        order: "dict[str, dict[tuple, Sample]]" = {}
+        texts = []
         for worker in self.workers:
             if not worker.alive:
                 continue
             try:
-                text = worker.client.metrics()
+                texts.append(worker.client.metrics())
             except ServiceError:
                 continue
-            for name, family in parse_exposition(text).items():
-                target = merged.get(name)
-                if target is None:
-                    target = ParsedMetric(name, family.kind, family.help)
-                    merged[name] = target
-                    order[name] = {}
-                index = order[name]
-                for sample in family.samples:
-                    key = (sample.name, sample.labels)
-                    seen = index.get(key)
-                    if seen is None:
-                        index[key] = sample
-                    else:
-                        index[key] = Sample(
-                            sample.name, sample.labels, seen.value + sample.value
-                        )
-        lines: list[str] = []
-        for name, family in merged.items():
-            lines.append(f"# HELP {name} {_escape(family.help)}")
-            lines.append(f"# TYPE {name} {family.kind}")
-            for sample in order[name].values():
-                lines.append(_render_sample(sample))
-        worker_text = "\n".join(lines) + "\n" if lines else ""
-        return worker_text + self.registry.render()
+        return merge_expositions(texts) + self.registry.render()
+
+    def observe_request(
+        self, method: str, route: str, status: int, seconds: float
+    ) -> None:
+        """Count one request the router served (workers time their own)."""
+        self.http_requests.labels(method=method, route=route, status=str(status)).inc()
 
     def _collect(self) -> list:
         workers = Gauge(
@@ -636,268 +644,19 @@ class FleetRouter:
     # shared cache tier (server side)
     # ------------------------------------------------------------------
     def cache_entry_bytes(self, fingerprint: str) -> "bytes | None":
-        entry = self.cache.peek(fingerprint)
-        if entry is None:
-            return None
-        return entry.to_bytes()
+        return self.cache.entry_bytes(fingerprint)
 
     def cache_store_bytes(self, fingerprint: str, payload: bytes) -> bool:
-        try:
-            entry = CachedCompilation.from_bytes(payload)
-        except Exception:  # noqa: BLE001 - any refusal is "not an entry"
-            return False
-        self.cache.put(fingerprint, entry, propagate=False)
-        return True
-
-
-def _escape(text: str) -> str:
-    return text.replace("\\", "\\\\").replace("\n", "\\n")
-
-
-def _render_sample(sample: Sample) -> str:
-    if sample.labels:
-        rendered = ",".join(
-            '{}="{}"'.format(
-                label,
-                value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n"),
-            )
-            for label, value in sample.labels
-        )
-        return f"{sample.name}{{{rendered}}} {format_value(sample.value)}"
-    return f"{sample.name} {format_value(sample.value)}"
+        return self.cache.store_bytes(fingerprint, payload)
 
 
 class FleetRequestHandler(ServiceRequestHandler):
-    """The router's HTTP surface: same wire protocol, fleet semantics.
-
-    Inherits the keep-alive discipline, JSON encoding and error envelope
-    from :class:`ServiceRequestHandler`; every route is reimplemented in
-    terms of the :class:`FleetRouter` instead of a local service.
-    """
+    """The router's HTTP surface: the shared handler over a :class:`FleetRouter`."""
 
     server_version = "repro-fleet"
-
-    @property
-    def router(self) -> FleetRouter:
-        return self.server.router  # type: ignore[attr-defined]
-
-    def _record_request(self, method: str, path: str, seconds: float) -> None:
-        try:
-            route = _route_template(path)
-            if route == "other" and path == "/v1/fleet":
-                route = "/v1/fleet"
-            self.router.http_requests.labels(
-                method=method, route=route, status=str(self._metrics_status)
-            ).inc()
-        except Exception:  # noqa: BLE001 - metrics must never break serving
-            logger.debug("failed to record router metrics", exc_info=True)
-
-    def _route(self, method: str, path: str, query: dict[str, list[str]]) -> None:
-        from repro.service.server import _CACHE_ENTRY, _JOB_RESULTS, _JOB_STATUS
-
-        if path == "/v1/jobs":
-            if method == "POST":
-                return self._handle_submit(query)
-            if method == "GET":
-                return self._handle_list(query)
-            return self._send_error_json(405, "method_not_allowed", f"{method} {path}")
-        match = _JOB_STATUS.match(path)
-        if match:
-            if method == "GET":
-                return self._proxy_call(
-                    lambda: self.router.proxy_job(match.group("job_id"))
-                )
-            if method == "DELETE":
-                return self._proxy_call(
-                    lambda: self.router.proxy_cancel(match.group("job_id"))
-                )
-            return self._send_error_json(405, "method_not_allowed", f"{method} {path}")
-        match = _CACHE_ENTRY.match(path)
-        if match:
-            if method == "GET":
-                return self._handle_cache_get(match.group("fingerprint"))
-            if method == "PUT":
-                return self._handle_cache_put(match.group("fingerprint"))
-            return self._send_error_json(405, "method_not_allowed", f"{method} {path}")
-        if method != "GET":
-            return self._send_error_json(405, "method_not_allowed", f"{method} {path}")
-        match = _JOB_RESULTS.match(path)
-        if match:
-            return self._handle_results(match.group("job_id"), query)
-        if path == "/v1/compilers":
-            return self._proxy_call(
-                lambda: {"compilers": self._any_worker().compilers()}
-            )
-        if path.startswith("/v1/schedules/"):
-            fingerprint = path.rsplit("/", 1)[1]
-            return self._proxy_call(lambda: self._any_worker().schedule(fingerprint))
-        if path == "/v1/healthz":
-            return self._send_json(200, self.router.health_payload())
-        if path == "/v1/fleet":
-            return self._send_json(200, self.router.fleet_payload())
-        if path == "/v1/metrics":
-            return self._handle_metrics()
-        return self._send_error_json(404, "not_found", f"no route for {path}")
-
-    # ------------------------------------------------------------------
-    # handlers
-    # ------------------------------------------------------------------
-    def _any_worker(self) -> ServiceClient:
-        for worker in self.router._alive_from(0):
-            return worker.client
-        raise ServiceError("no alive fleet workers", status=503)
-
-    def _proxy_call(self, call: Any) -> None:
-        try:
-            payload = call()
-        except ServiceError as exc:
-            return self._send_worker_error(exc)
-        self._send_json(200, payload)
-
-    def _send_worker_error(self, exc: ServiceError) -> None:
-        status = exc.status or 502
-        if isinstance(exc.payload, dict) and "error" in exc.payload:
-            return self._send_json(status, exc.payload)
-        self._send_error_json(status, "upstream_error", str(exc))
-
-    def _handle_submit(self, query: dict[str, list[str]]) -> None:
-        def reject(status: int, error_type: str, message: str) -> None:
-            self.close_connection = True
-            self._send_error_json(status, error_type, message)
-
-        try:
-            priority = self._int_query(query, "priority", 0)
-        except ValueError:
-            return reject(400, "bad_query", "priority must be an integer")
-        length_header = self.headers.get("Content-Length")
-        if length_header is None:
-            return reject(
-                411, "length_required", "POST /v1/jobs needs a Content-Length header"
-            )
-        try:
-            length = int(length_header)
-        except ValueError:
-            return reject(
-                400, "bad_request", f"invalid Content-Length {length_header!r}"
-            )
-        if length < 0:
-            return reject(400, "bad_request", "Content-Length cannot be negative")
-        if length > MAX_BODY_BYTES:
-            return reject(
-                413,
-                "payload_too_large",
-                f"manifest bodies are capped at {MAX_BODY_BYTES} bytes",
-            )
-        body = self.rfile.read(length)
-        self.close_connection = False
-        try:
-            receipt = self.router.submit(body, priority=priority or 0)
-        except ManifestError as exc:
-            return self._send_error_json(400, "manifest_error", str(exc))
-        except ServiceError as exc:
-            return self._send_worker_error(exc)
-        self._send_json(200 if receipt.get("resubmitted") else 202, receipt)
-
-    def _handle_list(self, query: dict[str, list[str]]) -> None:
-        try:
-            offset = self._int_query(query, "offset", 0)
-            limit = self._int_query(query, "limit", None)
-        except ValueError:
-            return self._send_error_json(
-                400, "bad_query", "offset/limit must be non-negative integers"
-            )
-        self._send_json(200, self.router.jobs_payload(offset=offset, limit=limit))
-
-    def _handle_metrics(self) -> None:
-        body = self.router.metrics_text().encode("utf-8")
-        self.send_response(200)
-        self.send_header("Content-Type", METRICS_CONTENT_TYPE)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _handle_cache_get(self, fingerprint: str) -> None:
-        payload = self.router.cache_entry_bytes(fingerprint)
-        if payload is None:
-            return self._send_error_json(
-                404, "unknown_fingerprint", f"no cache entry for {fingerprint!r}"
-            )
-        self.send_response(200)
-        self.send_header("Content-Type", "application/octet-stream")
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
-
-    def _handle_cache_put(self, fingerprint: str) -> None:
-        length_header = self.headers.get("Content-Length")
-        if length_header is None:
-            self.close_connection = True
-            return self._send_error_json(
-                411, "length_required", "PUT /v1/cache needs a Content-Length header"
-            )
-        try:
-            length = int(length_header)
-        except ValueError:
-            self.close_connection = True
-            return self._send_error_json(
-                400, "bad_request", f"invalid Content-Length {length_header!r}"
-            )
-        if length < 0 or length > MAX_BODY_BYTES:
-            self.close_connection = True
-            return self._send_error_json(
-                413,
-                "payload_too_large",
-                f"cache entries are capped at {MAX_BODY_BYTES} bytes",
-            )
-        body = self.rfile.read(length)
-        self.close_connection = False
-        if not self.router.cache_store_bytes(fingerprint, body):
-            return self._send_error_json(
-                400, "bad_entry", "body is not a current-format binary cache entry"
-            )
-        self.send_response(204)
-        self.send_header("Content-Length", "0")
-        self.end_headers()
-
-    def _handle_results(self, job_id: str, query: dict[str, list[str]]) -> None:
-        timeout: "float | None" = None
-        if "timeout" in query:
-            try:
-                timeout = float(query["timeout"][0])
-            except ValueError:
-                return self._send_error_json(
-                    400, "bad_query", "timeout must be a number of seconds"
-                )
-        lines = self.router.stream_results(job_id, timeout=timeout)
-        try:
-            first = next(lines)
-        except KeyError:
-            return self._send_error_json(404, "unknown_job", f"no job {job_id!r}")
-        except StopIteration:
-            first = None
-        except ServiceError as exc:
-            return self._send_worker_error(exc)
-        self.send_response(200)
-        self.send_header("Content-Type", "application/x-ndjson")
-        self.send_header("Transfer-Encoding", "chunked")
-        self.send_header("Cache-Control", "no-store")
-        self.end_headers()
-
-        def write(line: bytes) -> None:
-            data = line + b"\n"
-            self.wfile.write(b"%X\r\n%s\r\n" % (len(data), data))
-            self.wfile.flush()
-
-        try:
-            if first is not None:
-                write(first)
-                for line in lines:
-                    write(line)
-            self.wfile.write(b"0\r\n\r\n")
-        except (ServiceError, OSError, http.client.HTTPException):
-            # Upstream kept failing (or the client went away) mid-stream;
-            # terminating the chunked body early is the remaining signal.
-            self.close_connection = True
+    # Own entries, so a tracer can wrap router requests apart from worker ones.
+    _handle_submit = ServiceRequestHandler._handle_submit
+    _handle_results = ServiceRequestHandler._handle_results
 
 
 class FleetServer(ThreadingHTTPServer):
@@ -908,7 +667,7 @@ class FleetServer(ThreadingHTTPServer):
 
     def __init__(self, address: "tuple[str, int]", router: FleetRouter) -> None:
         super().__init__(address, FleetRequestHandler)
-        self.router = router
+        self.router = self.backend = router
         router.url = self.url
 
     @property

@@ -40,20 +40,27 @@ Errors are structured — every non-2xx response carries
 :class:`~repro.exceptions.ManifestError` covers) map to 400 rather than
 500.
 
+The fleet router (:mod:`repro.service.fleet`) answers through this same
+handler: both :class:`CompilationService` and the router implement the
+small :class:`ServiceBackend` protocol, so a route behaves identically
+on a worker and on the router.
+
 Built entirely on :mod:`http.server` (``ThreadingHTTPServer``); the
 service has no dependencies beyond the standard library.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
 import logging
 import re
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import Any, Callable, Iterator, Protocol
 from urllib.parse import parse_qs, urlparse
 
-from repro.exceptions import ManifestError, ReproError
+from repro.exceptions import ManifestError, ReproError, ServiceError
 from repro.obs.metrics import CONTENT_TYPE as METRICS_CONTENT_TYPE
 from repro.service.app import CompilationService
 
@@ -97,8 +104,68 @@ def _encode(payload: object) -> bytes:
     return json.dumps(payload, sort_keys=True).encode("utf-8")
 
 
+def _non_negative(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise ValueError(text)
+    return value
+
+
+#: Query parameters every route shares: parser and the 400 message.
+_QUERY_PARSERS = {
+    "priority": (int, "priority must be an integer"),
+    "offset": (_non_negative, "offset/limit must be non-negative integers"),
+    "limit": (_non_negative, "offset/limit must be non-negative integers"),
+    "timeout": (float, "timeout must be a number of seconds"),
+}
+
+#: What the length errors of each body-carrying method name.
+_BODY_ROUTES = {
+    "POST": ("POST /v1/jobs", "manifest bodies"),
+    "PUT": ("PUT /v1/cache", "cache entries"),
+}
+
+
+class _BadRequest(Exception):
+    """A request rejected while its query or body framing is parsed."""
+
+    def __init__(self, status: int, error_type: str, message: str) -> None:
+        super().__init__(message)
+        self.status = status
+        self.error_type = error_type
+
+
+class ServiceBackend(Protocol):
+    """What :class:`ServiceRequestHandler` serves: a service or a fleet.
+
+    :class:`~repro.service.app.CompilationService` and
+    :class:`~repro.service.fleet.FleetRouter` implement it.  Unknown job
+    ids raise :class:`KeyError`; a :class:`ServiceError` carrying an
+    ``{"error": ...}`` payload is answered verbatim with its status.
+    A backend with a ``fleet_payload()`` method also serves
+    ``GET /v1/fleet``.
+    """
+
+    def submit_body(self, body: bytes, priority: int = 0) -> "tuple[int, dict]": ...
+    def job_status(self, job_id: str) -> dict: ...
+    def cancel_job(self, job_id: str) -> dict: ...
+    def jobs_payload(self, offset: int = 0, limit: "int | None" = None) -> dict: ...
+    def stream_encoded(
+        self, job_id: str, timeout: "float | None" = None
+    ) -> Iterator[bytes]: ...
+    def schedule_payload(self, compile_fingerprint: str) -> "dict | None": ...
+    def compilers_payload(self) -> list: ...
+    def health_payload(self) -> dict: ...
+    def metrics_text(self) -> str: ...
+    def cache_entry_bytes(self, compile_fingerprint: str) -> "bytes | None": ...
+    def cache_store_bytes(self, compile_fingerprint: str, payload: bytes) -> bool: ...
+    def observe_request(
+        self, method: str, route: str, status: int, seconds: float
+    ) -> None: ...
+
+
 class ServiceRequestHandler(BaseHTTPRequestHandler):
-    """Routes requests onto the owning :class:`ServiceServer`'s service."""
+    """The one route table, served over the owning server's ``backend``."""
 
     protocol_version = "HTTP/1.1"
     server_version = "repro-service"
@@ -110,8 +177,8 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
     # plumbing
     # ------------------------------------------------------------------
     @property
-    def service(self) -> CompilationService:
-        return self.server.service  # type: ignore[attr-defined]
+    def backend(self) -> ServiceBackend:
+        return self.server.backend  # type: ignore[attr-defined]
 
     def log_message(self, format: str, *args: object) -> None:
         """Route access logs through :mod:`logging` instead of stderr."""
@@ -124,10 +191,9 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         self._metrics_status = code
         super().send_response(code, message)
 
-    def _send_json(self, status: int, payload: object) -> None:
-        body = _encode(payload)
+    def _send_bytes(self, status: int, content_type: str, body: bytes) -> None:
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
         if self.close_connection:
             # Advertise the closure, so a pooling client discards this
@@ -137,11 +203,48 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(body)
 
+    def _send_json(self, status: int, payload: object) -> None:
+        self._send_bytes(status, "application/json", _encode(payload))
+
     def _send_error_json(self, status: int, error_type: str, message: str) -> None:
         self._send_json(
             status,
             {"error": {"type": error_type, "message": message, "status": status}},
         )
+
+    def _query(self, query: dict[str, list[str]], key: str, default: Any) -> Any:
+        """One parsed query parameter; a bad value is a 400 ``bad_query``."""
+        if key not in query:
+            return default
+        parse, message = _QUERY_PARSERS[key]
+        try:
+            return parse(query[key][0])
+        except ValueError:
+            raise _BadRequest(400, "bad_query", message) from None
+
+    def _read_body(self, limit: int) -> bytes:
+        """The request body, after checking its ``Content-Length`` framing."""
+        route, noun = _BODY_ROUTES[self.command]
+        length_header = self.headers.get("Content-Length")
+        if length_header is None:
+            raise _BadRequest(
+                411, "length_required", f"{route} needs a Content-Length header"
+            )
+        try:
+            length = int(length_header)
+        except ValueError:
+            raise _BadRequest(
+                400, "bad_request", f"invalid Content-Length {length_header!r}"
+            ) from None
+        if length < 0:
+            raise _BadRequest(400, "bad_request", "Content-Length cannot be negative")
+        if length > limit:
+            raise _BadRequest(
+                413, "payload_too_large", f"{noun} are capped at {limit} bytes"
+            )
+        body = self.rfile.read(length)
+        self.close_connection = False  # body consumed; keep-alive is safe again
+        return body
 
     # ------------------------------------------------------------------
     # dispatch
@@ -164,37 +267,43 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         started = time.perf_counter()
         # A request body we never read would be parsed as the next
         # request line on a keep-alive connection.  Assume the worst
-        # until a handler actually consumes it (those clear the flag),
-        # so every other path answers with Connection: close.
+        # until a handler actually consumes it (_read_body clears the
+        # flag), so every other path answers with Connection: close.
         if (self.headers.get("Content-Length") or "0").strip() not in ("0", ""):
             self.close_connection = True
         try:
             self._route(method, url.path, parse_qs(url.query))
         except (BrokenPipeError, ConnectionResetError):  # client went away
             self.close_connection = True
+        except _BadRequest as exc:
+            if method in _BODY_ROUTES:
+                self.close_connection = True  # rejected before the body was read
+            self._send_error_json(exc.status, exc.error_type, str(exc))
         except ManifestError as exc:
             self._send_error_json(400, "manifest_error", str(exc))
+        except ServiceError as exc:
+            # A backend's own error answer (a relayed worker error, a 409
+            # cancel) keeps its status and body; a bare one is upstream.
+            status = exc.status or 502
+            if isinstance(exc.payload, dict) and "error" in exc.payload:
+                self._send_json(status, exc.payload)
+            else:
+                self._send_error_json(status, "upstream_error", str(exc))
         except ReproError as exc:
             self._send_error_json(500, "repro_error", str(exc))
         except Exception as exc:  # noqa: BLE001 - last-resort boundary
             logger.exception("unhandled error serving %s %s", method, self.path)
             self._send_error_json(500, "internal_error", str(exc))
         finally:
-            self._record_request(method, url.path, time.perf_counter() - started)
-
-    def _record_request(self, method: str, path: str, seconds: float) -> None:
-        """Feed the HTTP-layer instruments; never fails the request."""
-        try:
-            metrics = self.service.metrics
-            route = _route_template(path)
-            metrics.http_requests.labels(
-                method=method, route=route, status=str(self._metrics_status)
-            ).inc()
-            # Streaming results hold the connection open while results
-            # land, so that route's latency measures time-to-last-byte.
-            metrics.http_latency.labels(method=method, route=route).observe(seconds)
-        except Exception:  # noqa: BLE001 - metrics must never break serving
-            logger.debug("failed to record request metrics", exc_info=True)
+            route = _route_template(url.path)
+            if url.path == "/v1/fleet" and hasattr(self.backend, "fleet_payload"):
+                route = url.path
+            try:
+                self.backend.observe_request(
+                    method, route, self._metrics_status, time.perf_counter() - started
+                )
+            except Exception:  # noqa: BLE001 - metrics must never break serving
+                logger.debug("failed to record request metrics", exc_info=True)
 
     def _route(self, method: str, path: str, query: dict[str, list[str]]) -> None:
         if path == "/v1/jobs":
@@ -206,9 +315,9 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         match = _JOB_STATUS.match(path)
         if match:
             if method == "GET":
-                return self._handle_status(match.group("job_id"))
+                return self._send_job(self.backend.job_status, match.group("job_id"))
             if method == "DELETE":
-                return self._handle_cancel(match.group("job_id"))
+                return self._send_job(self.backend.cancel_job, match.group("job_id"))
             return self._send_error_json(405, "method_not_allowed", f"{method} {path}")
         match = _CACHE_ENTRY.match(path)
         if match:
@@ -226,118 +335,40 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         if match:
             return self._handle_schedule(match.group("fingerprint"))
         if path == "/v1/compilers":
-            return self._send_json(200, {"compilers": self.service.compilers_payload()})
+            return self._send_json(200, {"compilers": self.backend.compilers_payload()})
         if path == "/v1/healthz":
-            return self._send_json(200, self.service.health_payload())
+            return self._send_json(200, self.backend.health_payload())
         if path == "/v1/metrics":
-            return self._handle_metrics()
+            body = self.backend.metrics_text().encode("utf-8")
+            return self._send_bytes(200, METRICS_CONTENT_TYPE, body)
+        if path == "/v1/fleet" and hasattr(self.backend, "fleet_payload"):
+            return self._send_json(200, self.backend.fleet_payload())
         return self._send_error_json(404, "not_found", f"no route for {path}")
 
     # ------------------------------------------------------------------
     # handlers
     # ------------------------------------------------------------------
-    def _int_query(
-        self, query: dict[str, list[str]], key: str, default: "int | None"
-    ) -> "int | None":
-        """Parse one integer query parameter; raises ``ValueError``."""
-        if key not in query:
-            return default
-        return int(query[key][0])
-
     def _handle_list(self, query: dict[str, list[str]]) -> None:
-        try:
-            offset = self._int_query(query, "offset", 0)
-            limit = self._int_query(query, "limit", None)
-            payload = self.service.jobs_payload(offset=offset, limit=limit)
-        except ValueError:
-            return self._send_error_json(
-                400, "bad_query", "offset/limit must be non-negative integers"
-            )
-        self._send_json(200, payload)
+        offset = self._query(query, "offset", 0)
+        limit = self._query(query, "limit", None)
+        self._send_json(200, self.backend.jobs_payload(offset=offset, limit=limit))
 
-    def _handle_cancel(self, job_id: str) -> None:
+    def _send_job(self, call: Callable[[str], dict], job_id: str) -> None:
+        """Answer a job status or cancel call; unknown ids are a 404."""
         try:
-            job, accepted = self.service.cancel(job_id)
+            payload = call(job_id)
         except KeyError:
             return self._send_error_json(404, "unknown_job", f"no job {job_id!r}")
-        if not accepted:
-            # Terminal before the request arrived: nothing to cancel.
-            return self._send_error_json(
-                409,
-                "job_finished",
-                f"job {job_id!r} already reached terminal state {job.status!r}",
-            )
-        self._send_json(
-            200,
-            {
-                "job_id": job.job_id,
-                "status": job.status,
-                "cancel_requested": job.cancel_requested,
-            },
-        )
+        self._send_json(200, payload)
 
     def _handle_submit(self, query: dict[str, list[str]]) -> None:
-        # Every early rejection below happens before the request body is
-        # read.  On a keep-alive connection the unread body bytes would
-        # be parsed as the next request line, so these responses must
-        # also close the connection.
-        def reject(status: int, error_type: str, message: str) -> None:
-            self.close_connection = True
-            self._send_error_json(status, error_type, message)
-
-        try:
-            priority = self._int_query(query, "priority", 0)
-        except ValueError:
-            return reject(400, "bad_query", "priority must be an integer")
-        length_header = self.headers.get("Content-Length")
-        if length_header is None:
-            return reject(
-                411, "length_required", "POST /v1/jobs needs a Content-Length header"
-            )
-        try:
-            length = int(length_header)
-        except ValueError:
-            return reject(
-                400, "bad_request", f"invalid Content-Length {length_header!r}"
-            )
-        if length < 0:
-            return reject(400, "bad_request", "Content-Length cannot be negative")
-        if length > MAX_BODY_BYTES:
-            return reject(
-                413,
-                "payload_too_large",
-                f"manifest bodies are capped at {MAX_BODY_BYTES} bytes",
-            )
-        body = self.rfile.read(length)
-        self.close_connection = False  # body consumed; keep-alive is safe again
-        job, resubmitted = self.service.submit_text(body, priority=priority)
-        self._send_json(
-            200 if resubmitted else 202,
-            {
-                "job_id": job.job_id,
-                "status": job.status,
-                "jobs": len(job.jobs),
-                "resubmitted": resubmitted,
-                "results_path": f"/v1/jobs/{job.job_id}/results",
-            },
-        )
-
-    def _handle_metrics(self) -> None:
-        body = self.service.metrics_text().encode("utf-8")
-        self.send_response(200)
-        self.send_header("Content-Type", METRICS_CONTENT_TYPE)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _handle_status(self, job_id: str) -> None:
-        job = self.service.job(job_id)
-        if job is None:
-            return self._send_error_json(404, "unknown_job", f"no job {job_id!r}")
-        self._send_json(200, job.status_payload())
+        priority = self._query(query, "priority", 0)
+        body = self._read_body(MAX_BODY_BYTES)
+        status, receipt = self.backend.submit_body(body, priority=priority)
+        self._send_json(status, receipt)
 
     def _handle_schedule(self, fingerprint: str) -> None:
-        payload = self.service.schedule_payload(fingerprint)
+        payload = self.backend.schedule_payload(fingerprint)
         if payload is None:
             return self._send_error_json(
                 404,
@@ -348,40 +379,17 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
 
     def _handle_cache_get(self, fingerprint: str) -> None:
         """Serve one cache entry as raw RCEN bytes (the network-tier GET)."""
-        payload = self.service.cache_entry_bytes(fingerprint)
+        payload = self.backend.cache_entry_bytes(fingerprint)
         if payload is None:
             return self._send_error_json(
                 404, "unknown_fingerprint", f"no cache entry for {fingerprint!r}"
             )
-        self.send_response(200)
-        self.send_header("Content-Type", "application/octet-stream")
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
+        self._send_bytes(200, "application/octet-stream", payload)
 
     def _handle_cache_put(self, fingerprint: str) -> None:
-        """Accept one RCEN entry body into the local cache (network-tier PUT)."""
-        length_header = self.headers.get("Content-Length")
-        if length_header is None:
-            self.close_connection = True
-            return self._send_error_json(
-                411, "length_required", "PUT /v1/cache needs a Content-Length header"
-            )
-        try:
-            length = int(length_header)
-        except ValueError:
-            self.close_connection = True
-            return self._send_error_json(
-                400, "bad_request", f"invalid Content-Length {length_header!r}"
-            )
-        if length < 0 or length > MAX_BODY_BYTES:
-            self.close_connection = True
-            return self._send_error_json(
-                413, "payload_too_large", f"cache entries are capped at {MAX_BODY_BYTES} bytes"
-            )
-        body = self.rfile.read(length)
-        self.close_connection = False  # body consumed; keep-alive is safe again
-        if not self.service.cache_store_bytes(fingerprint, body):
+        """Accept one RCEN entry body into the backend's cache (network-tier PUT)."""
+        body = self._read_body(MAX_BODY_BYTES)
+        if not self.backend.cache_store_bytes(fingerprint, body):
             return self._send_error_json(
                 400, "bad_entry", "body is not a current-format binary cache entry"
             )
@@ -390,20 +398,13 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
         self.end_headers()
 
     def _handle_results(self, job_id: str, query: dict[str, list[str]]) -> None:
-        timeout: float | None = None
-        if "timeout" in query:
-            try:
-                timeout = float(query["timeout"][0])
-            except ValueError:
-                return self._send_error_json(
-                    400, "bad_query", "timeout must be a number of seconds"
-                )
+        timeout = self._query(query, "timeout", None)
         try:
-            # The fast path: each line arrives pre-encoded (the service
-            # serialised every outcome record exactly once, when it
-            # landed), so streaming — and re-streaming — writes cached
-            # bytes straight to the wire.
-            lines = self.service.stream_encoded(job_id, timeout=timeout)
+            # Each line arrives pre-encoded (the service serialised every
+            # outcome record exactly once, when it landed; the router
+            # relays a worker's lines), so streaming — and re-streaming —
+            # writes cached bytes straight to the wire.
+            lines = self.backend.stream_encoded(job_id, timeout=timeout)
         except KeyError:
             return self._send_error_json(404, "unknown_job", f"no job {job_id!r}")
         self.send_response(200)
@@ -417,9 +418,10 @@ class ServiceRequestHandler(BaseHTTPRequestHandler):
                 self.wfile.write(b"%X\r\n%s\r\n" % (len(data), data))
                 self.wfile.flush()
             self.wfile.write(b"0\r\n\r\n")
-        except TimeoutError:
-            # Mid-stream, the status line is gone; terminating the chunked
-            # body early is the only way left to signal the timeout.
+        except (ServiceError, OSError, http.client.HTTPException):
+            # Mid-stream (a timeout, a fleet failover that ran out of
+            # workers, or the client went away), the status line is gone;
+            # terminating the chunked body early is the only signal left.
             self.close_connection = True
 
     # BaseHTTPRequestHandler replies 501 for other verbs on its own.
@@ -429,7 +431,8 @@ class ServiceServer(ThreadingHTTPServer):
     """A threading HTTP server bound to one :class:`CompilationService`.
 
     Handler threads are daemons, so a blocked streaming client never
-    prevents interpreter exit; ``service`` is shared by every handler.
+    prevents interpreter exit; ``service`` (the handler's ``backend``)
+    is shared by every handler.
     """
 
     daemon_threads = True
@@ -439,7 +442,7 @@ class ServiceServer(ThreadingHTTPServer):
         self, address: "tuple[str, int]", service: CompilationService
     ) -> None:
         super().__init__(address, ServiceRequestHandler)
-        self.service = service
+        self.service = self.backend = service
 
     @property
     def url(self) -> str:

@@ -24,6 +24,7 @@ from repro.obs import (
     Histogram,
     MetricsRegistry,
     format_value,
+    merge_expositions,
     parse_exposition,
 )
 
@@ -203,6 +204,67 @@ class TestExpositionFormat:
         ):
             with pytest.raises(ReproError):
                 parse_exposition(text)
+
+
+class TestMergeExpositions:
+    """Summing expositions (a fleet's workers) into one, in process."""
+
+    def test_single_render_merges_to_itself(self):
+        rendered = build_golden_registry().render()
+        assert merge_expositions([rendered]) == rendered
+
+    def test_identical_samples_are_summed(self):
+        merged = parse_exposition(
+            merge_expositions(
+                [build_golden_registry().render(), build_golden_registry().render()]
+            )
+        )
+        requests = merged["repro_requests_total"]
+        assert requests.kind == "counter"
+        assert requests.value(route="/v1/jobs", status="202") == 6
+        assert requests.value(route="/v1/healthz", status="200") == 24
+        assert merged["repro_events_total"].value() == 14
+        assert merged["repro_temperature"].value() == 43.0
+
+    def test_disjoint_samples_are_kept_side_by_side(self):
+        first, second = MetricsRegistry(), MetricsRegistry()
+        first.counter("repro_jobs_total", "Jobs.", ("worker",)).labels(worker="0").inc(2)
+        second.counter("repro_jobs_total", "Jobs.", ("worker",)).labels(worker="1").inc(5)
+        second.gauge("repro_only_here", "Second text only.").set(1)
+        merged = parse_exposition(merge_expositions([first.render(), second.render()]))
+        assert merged["repro_jobs_total"].value(worker="0") == 2
+        assert merged["repro_jobs_total"].value(worker="1") == 5
+        assert merged["repro_only_here"].value() == 1
+
+    def test_histogram_series_survive_the_merge(self):
+        text = build_golden_registry().render()
+        latency = parse_exposition(merge_expositions([text, text]))["repro_latency_seconds"]
+        assert latency.kind == "histogram"
+        names = {sample.name for sample in latency.samples}
+        assert names == {
+            "repro_latency_seconds_bucket",
+            "repro_latency_seconds_sum",
+            "repro_latency_seconds_count",
+        }
+        assert latency.value(route="/v1/jobs", le="0.1") == 2
+        assert latency.value(route="/v1/jobs", le="1") == 6
+        assert latency.value(route="/v1/jobs", le="+Inf") == 8
+        sums = [s for s in latency.samples if s.name == "repro_latency_seconds_sum"]
+        counts = [s for s in latency.samples if s.name == "repro_latency_seconds_count"]
+        assert [s.value for s in sums] == [12.1]
+        assert [s.value for s in counts] == [8]
+
+    def test_escaped_label_values_round_trip(self):
+        value = 'a "quoted" \\ back\\slash\nand newline'
+        registry = MetricsRegistry()
+        registry.gauge("repro_labelled", "Escapes.", ("name",)).labels(name=value).set(3)
+        text = registry.render()
+        merged = merge_expositions([text, text])
+        assert parse_exposition(merged)["repro_labelled"].value(name=value) == 6
+        assert merge_expositions([text]) == text
+
+    def test_no_samples_render_empty(self):
+        assert merge_expositions([]) == ""
 
 
 class TestConcurrency:

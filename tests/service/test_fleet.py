@@ -110,6 +110,17 @@ class TestRoutingAndAggregation:
         assert window["count"] == 2
         assert window["jobs"][0]["job_id"] == page["jobs"][1]["job_id"]
 
+    @pytest.mark.parametrize("query", ["offset=-1", "limit=-1", "offset=x"])
+    def test_bad_pagination_is_400_as_on_a_single_service(self, fleet, query):
+        _, client = fleet
+        assert client.jobs_page()["total"] >= 2
+        from repro.exceptions import ServiceError
+
+        with pytest.raises(ServiceError) as excinfo:
+            client._json("GET", f"/v1/jobs?{query}")
+        assert excinfo.value.status == 400
+        assert excinfo.value.payload["error"]["type"] == "bad_query"
+
     def test_health_reports_fleet_topology(self, fleet):
         _, client = fleet
         health = client.health()

@@ -141,9 +141,7 @@ class TestCachedScheduleLookup:
         # "unknown fingerprint", never as a server error.
         service = CompilationService(workers=1, cache_dir=tmp_path, warm=False)
         fingerprint = "a" * 64
-        (tmp_path / f"{fingerprint}.json").write_text(
-            json.dumps({"format_version": 999, "schedule": {}})
-        )
+        (tmp_path / f"{fingerprint}.sched").write_bytes(b"RCEN\x63{}")
         try:
             assert service.schedule_payload(fingerprint) is None
         finally:
@@ -297,6 +295,33 @@ class TestErrorPaths:
             connection.endheaders()
             response = connection.getresponse()
             assert response.status == 413
+        finally:
+            connection.close()
+
+    @pytest.mark.parametrize(
+        "method, path",
+        [("POST", "/v1/jobs"), ("PUT", "/v1/cache/" + "e" * 64)],
+    )
+    def test_negative_content_length_is_400_on_every_body_route(
+        self, service_stack, method, path
+    ):
+        _, client = service_stack
+        host = client.base_url.removeprefix("http://")
+        hostname, port = host.rsplit(":", 1)
+        connection = http.client.HTTPConnection(hostname, int(port), timeout=10)
+        try:
+            connection.putrequest(method, path)
+            connection.putheader("Content-Length", "-1")
+            connection.endheaders()
+            response = connection.getresponse()
+            assert response.status == 400
+            assert response.getheader("Connection") == "close"
+            payload = json.loads(response.read().decode())
+            assert payload["error"] == {
+                "type": "bad_request",
+                "message": "Content-Length cannot be negative",
+                "status": 400,
+            }
         finally:
             connection.close()
 
