@@ -18,22 +18,22 @@ how the Fig. 16 optimality bounds ("perfect shuttle", "perfect SWAP",
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
-from repro.exceptions import NoiseModelError
-from repro.noise.fidelity import FidelityModel, SuccessRateAccumulator
+from repro.noise.fidelity import _US_PER_S, SWAP_TWO_QUBIT_GATE_COUNT, FidelityModel
 from repro.noise.gate_times import (
     GateImplementation,
     single_qubit_gate_time,
     two_qubit_gate_time,
 )
-from repro.noise.heating import HeatingParameters, ThermalLedger
+from repro.noise.heating import HeatingParameters
 from repro.noise.operation_times import OperationTimes
 from repro.schedule.operations import (
-    GateOperation,
-    ShuttleOperation,
-    SpaceShiftOperation,
-    SwapOperation,
+    KIND_CODE_GATE_1Q,
+    KIND_CODE_GATE_2Q,
+    KIND_CODE_SHUTTLE,
+    KIND_CODE_SWAP,
 )
 from repro.schedule.schedule import Schedule
 
@@ -84,134 +84,187 @@ class ScheduleEvaluator:
         self._implementation = GateImplementation.from_name(self.config.gate_implementation)
         self._fidelity = FidelityModel(heating=self.config.heating)
 
-    # ------------------------------------------------------------------
-    # public API
-    # ------------------------------------------------------------------
     def evaluate(self, schedule: Schedule) -> EvaluationResult:
-        """Walk ``schedule`` and return timing and success-rate estimates."""
+        """Walk ``schedule`` and return timing and success-rate estimates.
+
+        One loop over the slab's ``kinds`` column with a cursor per
+        kind: no operation records or :class:`Gate` objects are built
+        (the kind code says whether a gate is a two-qubit gate).  Each
+        trap's clock, mean phonon number and pending transport time live
+        in dicts keyed by trap id; ``phonon`` is filled in first-touch
+        order, the order :class:`~repro.noise.heating.ThermalLedger`
+        creates trap states in, so ``mean_phonon_total`` sums the same
+        floats in the same order.  Gate times, ``A₀·N/ln N`` and shuttle
+        costs are memoised per chain length, separation and path, and
+        every formula keeps the float operation order of
+        :class:`FidelityModel`, :meth:`OperationTimes.shuttle_us`,
+        :class:`ThermalLedger` and :class:`SuccessRateAccumulator`, so
+        the result equals the record-by-record walk bit for bit.
+        """
+        config = self.config
+        heating = config.heating
+        fidelity_model = self._fidelity
+        implementation = self._implementation
+        slab = schedule.slab
+
+        rate = heating.background_rate_per_s
+        k1 = heating.k1
+        k2 = heating.k2
+        floor = fidelity_model.minimum_fidelity
+        log = math.log
+        single_qubit_time = single_qubit_gate_time()
+        single_qubit_log = (
+            log(fidelity_model.single_qubit_gate_fidelity_value())
+            if config.include_single_qubit_gates
+            else None
+        )
+        ignore_swap = config.ignore_swap_cost
+        ignore_shuttle = config.ignore_shuttle_cost
+        move_us = config.operation_times.move_us
+        shuttle_us = config.operation_times.shuttle_us
+
+        gate_costs: dict[tuple[int, int], tuple[float, float]] = {}
+        shuttle_costs: dict[tuple[int, int], tuple[float, float]] = {}
+
         clocks: dict[int, float] = {trap.trap_id: 0.0 for trap in schedule.device.traps}
-        thermal = ThermalLedger(params=self.config.heating)
-        accumulator = SuccessRateAccumulator()
+        phonon: dict[int, float] = {}
+        pending: dict[int, float] = {}
+        log_sum = 0.0
+        fidelity_count = 0
         total_gate_time = 0.0
         total_shuttle_time = 0.0
 
-        for operation in schedule:
-            if isinstance(operation, GateOperation):
-                duration = self._apply_gate(operation, clocks, thermal, accumulator)
-                total_gate_time += duration
-            elif isinstance(operation, SwapOperation):
-                duration = self._apply_swap(operation, clocks, thermal, accumulator)
-                total_gate_time += duration
-            elif isinstance(operation, ShuttleOperation):
-                duration = self._apply_shuttle(operation, clocks, thermal)
-                total_shuttle_time += duration
-            elif isinstance(operation, SpaceShiftOperation):
-                duration = self._apply_space_shift(operation, clocks, thermal)
-                total_shuttle_time += duration
-            else:  # pragma: no cover - defensive
-                raise NoiseModelError(f"unknown operation type {type(operation).__name__}")
+        gate_traps = slab.gate_traps
+        gate_chains = slab.gate_chain_lengths
+        gate_separations = slab.gate_ion_separations
+        swap_traps = slab.swap_traps
+        swap_chains = slab.swap_chain_lengths
+        swap_separations = slab.swap_ion_separations
+        shuttle_sources = slab.shuttle_source_traps
+        shuttle_targets = slab.shuttle_target_traps
+        shuttle_segments = slab.shuttle_segments
+        shuttle_junctions = slab.shuttle_junctions
+        shift_traps = slab.shift_traps
+        shift_from = slab.shift_from_positions
+        shift_to = slab.shift_to_positions
+        gi = si = hi = pi = 0
 
-        execution_time = max(clocks.values(), default=0.0)
+        for code in slab.kinds:
+            if code == KIND_CODE_GATE_2Q or code == KIND_CODE_SWAP:
+                if code == KIND_CODE_GATE_2Q:
+                    trap = gate_traps[gi]
+                    chain = gate_chains[gi]
+                    separation = gate_separations[gi]
+                    gi += 1
+                else:
+                    trap = swap_traps[si]
+                    chain = swap_chains[si]
+                    separation = swap_separations[si]
+                    si += 1
+                key = (chain, separation)
+                costs = gate_costs.get(key)
+                if costs is None:
+                    costs = gate_costs[key] = (
+                        two_qubit_gate_time(implementation, max(chain, 2), separation),
+                        heating.amplitude_factor(max(chain, 2)),
+                    )
+                gate_time, amplitude = costs
+                if code == KIND_CODE_SWAP:
+                    if ignore_swap:
+                        continue
+                    duration = 3.0 * gate_time
+                else:
+                    duration = gate_time
+                mean_phonon = phonon.get(trap)
+                if mean_phonon is None:
+                    mean_phonon = phonon[trap] = 0.0
+                # Eq. (4), in FidelityModel.two_qubit_gate_fidelity's order.
+                fidelity = (
+                    1.0
+                    - rate * ((gate_time + pending.pop(trap, 0.0)) / _US_PER_S)
+                    - amplitude * (2.0 * mean_phonon + 1.0)
+                )
+                if floor > fidelity:
+                    fidelity = floor
+                if code == KIND_CODE_SWAP:
+                    fidelity = fidelity**SWAP_TWO_QUBIT_GATE_COUNT
+                # The floor is positive and both Eq.-(4) terms are, so the
+                # accumulator's "<= 0 fails" and "> 1 raises" checks
+                # cannot fire; only its log-sum step remains.
+                log_sum += log(fidelity)
+                fidelity_count += 1
+                clocks[trap] = clocks.get(trap, 0.0) + duration
+                total_gate_time += duration
+            elif code == KIND_CODE_GATE_1Q:
+                trap = gate_traps[gi]
+                gi += 1
+                if trap not in phonon:
+                    phonon[trap] = 0.0
+                if single_qubit_log is not None:
+                    log_sum += single_qubit_log
+                    fidelity_count += 1
+                clocks[trap] = clocks.get(trap, 0.0) + single_qubit_time
+                total_gate_time += single_qubit_time
+            elif code == KIND_CODE_SHUTTLE:
+                source = shuttle_sources[hi]
+                target = shuttle_targets[hi]
+                segments = shuttle_segments[hi]
+                junctions = shuttle_junctions[hi]
+                hi += 1
+                if ignore_shuttle:
+                    continue
+                path = (segments, junctions)
+                cost = shuttle_costs.get(path)
+                if cost is None:
+                    cost = shuttle_costs[path] = (
+                        shuttle_us(segments=segments, junctions=junctions),
+                        k2 * (segments + junctions),
+                    )
+                duration, transport_heat = cost
+                # ThermalLedger.record_shuttle: split, merge, transport.
+                phonon[source] = phonon.get(source, 0.0) + k1
+                phonon[target] = phonon.get(target, 0.0) + k1
+                phonon[target] += transport_heat
+                pending[source] = pending.get(source, 0.0) + duration
+                pending[target] = pending.get(target, 0.0) + duration
+                # Both traps are busy for the whole split/move/merge
+                # sequence, and a shuttle cannot start before either
+                # endpoint is free.
+                start = clocks.get(source, 0.0)
+                target_clock = clocks.get(target, 0.0)
+                if target_clock > start:
+                    start = target_clock
+                clocks[source] = clocks[target] = start + duration
+                total_shuttle_time += duration
+            else:
+                trap = shift_traps[pi]
+                distance = abs(shift_to[pi] - shift_from[pi])
+                pi += 1
+                if ignore_shuttle:
+                    continue
+                duration = move_us * distance
+                if trap not in phonon:
+                    phonon[trap] = 0.0
+                pending[trap] = pending.get(trap, 0.0) + duration
+                clocks[trap] = clocks.get(trap, 0.0) + duration
+                total_shuttle_time += duration
+
         return EvaluationResult(
-            success_rate=accumulator.success_rate,
-            log_success_rate=accumulator.log_success_rate,
-            execution_time_us=execution_time,
+            success_rate=math.exp(log_sum),
+            log_success_rate=log_sum,
+            execution_time_us=max(clocks.values(), default=0.0),
             total_gate_time_us=total_gate_time,
             total_shuttle_time_us=total_shuttle_time,
             gate_count_2q=schedule.two_qubit_gate_count,
             gate_count_1q=schedule.single_qubit_gate_count,
             swap_count=schedule.swap_count,
             shuttle_count=schedule.shuttle_count,
-            gate_implementation=self._implementation,
+            gate_implementation=implementation,
             details={
-                "mean_phonon_total": thermal.total_phonon(),
-                "evaluated_gate_fidelities": float(accumulator.gate_count),
+                "mean_phonon_total": sum(phonon.values()),
+                "evaluated_gate_fidelities": float(fidelity_count),
             },
         )
-
-    # ------------------------------------------------------------------
-    # per-operation handlers
-    # ------------------------------------------------------------------
-    def _two_qubit_time(self, chain_length: int, ion_separation: int) -> float:
-        return two_qubit_gate_time(self._implementation, max(chain_length, 2), ion_separation)
-
-    def _apply_gate(
-        self,
-        operation: GateOperation,
-        clocks: dict[int, float],
-        thermal: ThermalLedger,
-        accumulator: SuccessRateAccumulator,
-    ) -> float:
-        trap_state = thermal.trap(operation.trap)
-        if operation.gate.is_two_qubit:
-            duration = self._two_qubit_time(operation.chain_length, operation.ion_separation)
-            pending = trap_state.consume_accumulated_time()
-            fidelity = self._fidelity.two_qubit_gate_fidelity(
-                duration, operation.chain_length, trap_state.mean_phonon, pending
-            )
-            accumulator.multiply(fidelity)
-        else:
-            duration = single_qubit_gate_time()
-            if self.config.include_single_qubit_gates:
-                accumulator.multiply(self._fidelity.single_qubit_gate_fidelity_value())
-        clocks[operation.trap] = clocks.get(operation.trap, 0.0) + duration
-        return duration
-
-    def _apply_swap(
-        self,
-        operation: SwapOperation,
-        clocks: dict[int, float],
-        thermal: ThermalLedger,
-        accumulator: SuccessRateAccumulator,
-    ) -> float:
-        base_time = self._two_qubit_time(operation.chain_length, operation.ion_separation)
-        duration = 3.0 * base_time
-        if self.config.ignore_swap_cost:
-            return 0.0
-        trap_state = thermal.trap(operation.trap)
-        pending = trap_state.consume_accumulated_time()
-        fidelity = self._fidelity.swap_gate_fidelity(
-            base_time, operation.chain_length, trap_state.mean_phonon, pending
-        )
-        accumulator.multiply(fidelity)
-        clocks[operation.trap] = clocks.get(operation.trap, 0.0) + duration
-        return duration
-
-    def _apply_shuttle(
-        self,
-        operation: ShuttleOperation,
-        clocks: dict[int, float],
-        thermal: ThermalLedger,
-    ) -> float:
-        if self.config.ignore_shuttle_cost:
-            return 0.0
-        duration = self.config.operation_times.shuttle_us(
-            segments=operation.segments, junctions=operation.junctions
-        )
-        thermal.record_shuttle(
-            operation.source_trap, operation.target_trap, operation.segments, operation.junctions
-        )
-        thermal.trap(operation.source_trap).record_idle(duration)
-        thermal.trap(operation.target_trap).record_idle(duration)
-        # Both traps are busy for the whole split/move/merge sequence, and a
-        # shuttle cannot start before either endpoint is free.
-        start = max(clocks.get(operation.source_trap, 0.0), clocks.get(operation.target_trap, 0.0))
-        clocks[operation.source_trap] = start + duration
-        clocks[operation.target_trap] = start + duration
-        return duration
-
-    def _apply_space_shift(
-        self,
-        operation: SpaceShiftOperation,
-        clocks: dict[int, float],
-        thermal: ThermalLedger,
-    ) -> float:
-        if self.config.ignore_shuttle_cost:
-            return 0.0
-        duration = self.config.operation_times.move_us * operation.distance
-        thermal.trap(operation.trap).record_idle(duration)
-        clocks[operation.trap] = clocks.get(operation.trap, 0.0) + duration
-        return duration
 
 
 def evaluate_schedule(

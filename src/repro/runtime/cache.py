@@ -448,9 +448,11 @@ class ScheduleCache:
         """First remote tier that serves ``fingerprint``; ``None`` on miss.
 
         A payload that fails to parse as a current-format binary entry —
-        a corrupt blob, a foreign format, version skew — counts as a
-        ``network_errors`` miss rather than raising: a bad shared-cache
-        byte must never poison a local compilation.
+        a corrupt header or schedule blob, a foreign format, version skew
+        — counts as a ``network_errors`` miss rather than raising: a bad
+        shared-cache byte must never poison a local compilation, nor be
+        promoted into the disk tier.  The schedule blob is decoded here
+        for that check (columns only, so it is cheap).
         """
         for tier in self.tiers:
             payload = tier.load(fingerprint)
@@ -460,6 +462,7 @@ class ScheduleCache:
                 continue
             try:
                 entry = CachedCompilation.from_bytes(payload)
+                schedule_from_bytes(entry.schedule_blob)
             except (ReproError, IndexError, ValueError, TypeError):
                 with self._lock:
                     self.stats.network_errors += 1
@@ -502,13 +505,15 @@ class ScheduleCache:
     def store_bytes(self, fingerprint: str, payload: bytes) -> bool:
         """Store a binary entry pushed by a peer (a network tier's PUT).
 
-        A payload that does not parse as a current-format entry is
-        refused (``False``) rather than stored, so one bad peer cannot
-        poison a shared tier.  Stored with ``propagate=False``: an
-        inbound PUT must not echo back out to this cache's own tiers.
+        A payload that does not parse as a current-format entry (header
+        and schedule blob) is refused (``False``) rather than stored, so
+        one bad peer cannot poison a shared tier.  Stored with
+        ``propagate=False``: an inbound PUT must not echo back out to
+        this cache's own tiers.
         """
         try:
             entry = CachedCompilation.from_bytes(payload)
+            schedule_from_bytes(entry.schedule_blob)
         except Exception:  # noqa: BLE001 - any parse failure is a refusal
             return False
         self.put(fingerprint, entry, propagate=False)

@@ -19,6 +19,7 @@ from __future__ import annotations
 from array import array
 from collections import Counter
 from enum import Enum
+from typing import Callable
 
 from repro.circuit.gate import Gate
 from repro.exceptions import SchedulingError
@@ -321,11 +322,17 @@ class OperationSlab:
     :meth:`materialize` builds the classic :class:`ScheduledOperation`
     objects on demand (through the validation-free constructors — slab
     producers assert the invariants).
+
+    :attr:`gates` may be deferred: the binary decoder fills every integer
+    column but hands the slab a picklable zero-argument loader (see
+    :meth:`defer_gates`) that builds the :class:`Gate` objects on first
+    access, since the evaluator and the counters never read them.
     """
 
     __slots__ = (
         "kinds",
-        "gates",
+        "_gates",
+        "_gate_loader",
         "gate_traps",
         "gate_chain_lengths",
         "gate_ion_separations",
@@ -349,7 +356,8 @@ class OperationSlab:
 
     def __init__(self) -> None:
         self.kinds = bytearray()
-        self.gates: list[Gate] = []
+        self._gates: "list[Gate] | None" = []
+        self._gate_loader: "Callable[[], list[Gate]] | None" = None
         self.gate_traps = array("i")
         self.gate_chain_lengths = array("i")
         self.gate_ion_separations = array("i")
@@ -372,6 +380,25 @@ class OperationSlab:
 
     def __len__(self) -> int:
         return len(self.kinds)
+
+    @property
+    def gates(self) -> "list[Gate]":
+        """The program gates, one per GATE_1Q/GATE_2Q code, in order."""
+        gates = self._gates
+        if gates is None:
+            gates = self._gates = self._gate_loader()  # type: ignore[misc]
+            self._gate_loader = None
+        return gates
+
+    def defer_gates(self, loader: "Callable[[], list[Gate]]") -> None:
+        """Build :attr:`gates` by calling ``loader`` on first access.
+
+        ``loader`` must be picklable (a module-level function or a
+        :func:`functools.partial` of one) so a decoded slab pickles
+        without forcing the gates.
+        """
+        self._gates = None
+        self._gate_loader = loader
 
     # ------------------------------------------------------------------
     # typed appends (the scheduler hot path)
@@ -476,6 +503,7 @@ class OperationSlab:
         """Rebuild the interleaved record-object log from the columns."""
         ops: "list[ScheduledOperation]" = []
         append = ops.append
+        gates = self.gates
         gi = si = hi = pi = 0
         kind_1q = OperationKind.GATE_1Q
         kind_2q = OperationKind.GATE_2Q
@@ -488,7 +516,7 @@ class OperationSlab:
                 append(
                     gate_op(
                         kind_2q if code == KIND_CODE_GATE_2Q else kind_1q,
-                        self.gates[gi],
+                        gates[gi],
                         self.gate_traps[gi],
                         self.gate_chain_lengths[gi],
                         self.gate_ion_separations[gi],

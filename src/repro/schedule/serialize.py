@@ -21,7 +21,9 @@ stable since format version 1) or a **columnar binary encoding**
 * varint-framed qubit lists and float64 parameters for the gates.
 
 Decoding reads the columns wholesale into arrays and hands them to
-:class:`Schedule` as its slab, so no per-operation record objects are built
+:class:`Schedule` as its slab; it checks the qubit and parameter sections'
+bounds but defers building the :class:`Gate` objects to the first
+``slab.gates`` access, and no per-operation record objects are built
 until somebody iterates the schedule — which is what makes binary disk
 hits several times cheaper than re-parsing the JSON document.
 """
@@ -32,6 +34,7 @@ import json
 import struct
 import sys
 from array import array
+from functools import partial
 from typing import Any
 
 from repro.circuit.gate import Gate
@@ -397,10 +400,13 @@ def schedule_from_bytes(data: bytes) -> Schedule:
     """Decode a schedule from :func:`schedule_to_bytes` output.
 
     The returned schedule is slab-backed: the integer columns are read
-    wholesale and per-operation record objects are only materialised if
-    the caller iterates the schedule.  Raises
+    wholesale, the slab's :class:`Gate` objects are built on first
+    access to ``slab.gates``, and per-operation record objects are only
+    materialised if the caller iterates the schedule.  Every check runs
+    here, not on that first access: raises
     :class:`~repro.exceptions.ReproError` on a bad magic, an unsupported
-    version or a truncated document.
+    version, a truncated document, an unknown kind code, a gate-name
+    index outside the name table, or bytes after the last column.
     """
     if data[: len(SCHEDULE_MAGIC)] != SCHEDULE_MAGIC:
         raise ReproError("not a binary schedule document (bad magic)")
@@ -451,51 +457,32 @@ def schedule_from_bytes(data: bytes) -> Schedule:
         raise ReproError("truncated binary schedule document")
     kinds = bytearray(data[pos:end])
     pos = end
-    if any(code >= len(KIND_BY_CODE) for code in kinds):
+    if kinds and max(kinds) >= len(KIND_BY_CODE):
         raise ReproError("binary schedule document has an unknown operation kind code")
 
     slab = OperationSlab()
     slab.kinds = kinds
     n_gates = kinds.count(0) + kinds.count(1)
     name_column, pos = _read_ints(data, pos, n_gates)
+    if n_gates and (min(name_column) < 0 or max(name_column) >= len(names)):
+        raise ReproError("binary schedule document references an unknown gate name")
     slab.gate_traps, pos = _read_ints(data, pos, n_gates)
     slab.gate_chain_lengths, pos = _read_ints(data, pos, n_gates)
     slab.gate_ion_separations, pos = _read_ints(data, pos, n_gates)
-    qubit_lists: "list[tuple[int, ...]]" = []
-    for _ in range(n_gates):
-        n_qubits, pos = read_varint(data, pos)
-        qubits = []
-        for _ in range(n_qubits):
-            qubit, pos = read_varint(data, pos)
-            qubits.append(qubit)
-        qubit_lists.append(tuple(qubits))
-    param_counts = []
-    total_params = 0
-    for _ in range(n_gates):
-        n_params, pos = read_varint(data, pos)
-        param_counts.append(n_params)
-        total_params += n_params
-    if total_params:
-        if pos + 8 * total_params > len(data):
-            raise ReproError("truncated binary schedule document")
-        params_flat = struct.unpack_from(f"<{total_params}d", data, pos)
-        pos += 8 * total_params
-    else:
-        params_flat = ()
-
-    gates = slab.gates
-    cursor = 0
-    for index in range(n_gates):
-        n_params = param_counts[index]
-        params = tuple(params_flat[cursor : cursor + n_params])
-        cursor += n_params
-        try:
-            name = names[name_column[index]]
-        except IndexError:
-            raise ReproError(
-                "binary schedule document references an unknown gate name"
-            ) from None
-        gates.append(_gate_unchecked(name, qubit_lists[index], params))
+    # The qubit lists and parameters are only skipped here (every bound
+    # checked); the Gate objects are built on first ``slab.gates`` access.
+    qubits_at = pos
+    pos, single_byte = _skip_qubit_lists(data, pos, n_gates)
+    param_counts, pos = _read_param_counts(data, pos, n_gates)
+    pos += 8 * sum(param_counts)
+    if pos > len(data):
+        raise ReproError("truncated binary schedule document")
+    if n_gates:
+        if not isinstance(data, bytes):
+            data = bytes(data)  # the loader must not see later mutation
+        slab.defer_gates(
+            partial(_decode_gates, data, qubits_at, n_gates, single_byte, names, name_column)
+        )
 
     slab.swap_traps, pos = _read_ints(data, pos, kinds.count(2))
     slab.swap_qubits_a, pos = _read_ints(data, pos, len(slab.swap_traps))
@@ -515,4 +502,85 @@ def schedule_from_bytes(data: bytes) -> Schedule:
     slab.shift_qubits, pos = _read_ints(data, pos, n_shifts)
     slab.shift_from_positions, pos = _read_ints(data, pos, n_shifts)
     slab.shift_to_positions, pos = _read_ints(data, pos, n_shifts)
+    if pos != len(data):
+        raise ReproError("binary schedule document has trailing bytes")
     return Schedule(device, circuit_name, slab)
+
+
+def _skip_qubit_lists(data: bytes, pos: int, count: int) -> "tuple[int, bool]":
+    """Position just past ``count`` varint-framed qubit lists.
+
+    Also reports whether every varint in the section is a single byte
+    (qubit indices and list lengths below 128), which lets
+    :func:`_decode_gates` slice the lists instead of parsing them.
+    """
+    start = pos
+    try:
+        for _ in range(count):
+            pos += data[pos] + 1
+    except IndexError:
+        pos = len(data) + 1
+    if pos <= len(data) and (pos == start or max(data[start:pos]) < 0x80):
+        return pos, True
+    pos = start
+    for _ in range(count):
+        n_qubits, pos = read_varint(data, pos)
+        for _ in range(n_qubits):
+            _, pos = read_varint(data, pos)
+    return pos, False
+
+
+def _read_param_counts(
+    data: bytes, pos: int, count: int
+) -> "tuple[bytes | list[int], int]":
+    """``count`` varint parameter counts from ``pos``, and the position past them."""
+    counts = data[pos : pos + count]
+    if len(counts) == count and (not count or max(counts) < 0x80):
+        return counts, pos + count  # all single-byte varints: the bytes are the counts
+    parsed = []
+    for _ in range(count):
+        n_params, pos = read_varint(data, pos)
+        parsed.append(n_params)
+    return parsed, pos
+
+
+def _decode_gates(
+    data: bytes,
+    pos: int,
+    count: int,
+    single_byte: bool,
+    names: "list[str]",
+    name_column: "array[int]",
+) -> "list[Gate]":
+    """Build the gates of a document :func:`schedule_from_bytes` checked.
+
+    The deferred half of the decode: ``pos`` is the start of the qubit
+    section, whose bounds (and the parameter section's) were validated
+    before the loader was installed.
+    """
+    qubit_lists: "list[tuple[int, ...]]" = []
+    if single_byte:
+        for _ in range(count):
+            end = pos + 1 + data[pos]
+            qubit_lists.append(tuple(data[pos + 1 : end]))
+            pos = end
+    else:
+        for _ in range(count):
+            n_qubits, pos = read_varint(data, pos)
+            qubits = []
+            for _ in range(n_qubits):
+                qubit, pos = read_varint(data, pos)
+                qubits.append(qubit)
+            qubit_lists.append(tuple(qubits))
+    param_counts, pos = _read_param_counts(data, pos, count)
+    total_params = sum(param_counts)
+    params_flat = struct.unpack_from(f"<{total_params}d", data, pos) if total_params else ()
+
+    gates = []
+    cursor = 0
+    for index in range(count):
+        n_params = param_counts[index]
+        params = tuple(params_flat[cursor : cursor + n_params])
+        cursor += n_params
+        gates.append(_gate_unchecked(names[name_column[index]], qubit_lists[index], params))
+    return gates

@@ -189,6 +189,13 @@ class TestEntryFormat:
         assert rebuilt == entry
         assert rebuilt.to_bytes() == blob  # deterministic re-encode
 
+    def test_trailing_bytes_after_the_schedule_rejected(self, entry):
+        # The schedule blob runs to the end of the entry, so appended
+        # bytes land in the blob and its decode must refuse them.
+        padded = CachedCompilation.from_bytes(entry.to_bytes() + b"garbage!!")
+        with pytest.raises(ReproError, match="trailing bytes"):
+            padded.schedule()
+
     def test_version_mismatch_rejected(self, entry):
         for version in (2, CACHE_FORMAT_VERSION + 1):
             raw = bytearray(entry.to_bytes())

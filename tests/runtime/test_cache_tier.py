@@ -16,6 +16,7 @@ import pytest
 from repro.runtime.cache import CachedCompilation, ScheduleCache
 from repro.runtime.cache_tier import HttpCacheTier
 from repro.runtime.jobs import CompileJob, compile_job
+from repro.runtime.pool import BatchCompiler
 from repro.service.server import make_server
 
 
@@ -104,6 +105,45 @@ class TestTierSeam:
         assert cache.stats.misses == 2
         # Nothing corrupt was promoted anywhere.
         assert len(cache) == 0 and cache.disk_entries() == 0
+
+    def test_truncated_tier_schedule_is_an_error_not_a_hit(self, tmp_path):
+        """A good header over a cut schedule blob: miss, error, no promotion."""
+        jobs = [
+            CompileJob(
+                circuit="qft_6", device="G-2x2", capacity=4, gate_implementation=impl
+            )
+            for impl in ("fm", "am2")
+        ]
+        fingerprint = jobs[0].compile_fingerprint()
+        clean_cache = ScheduleCache(max_entries=4, directory=tmp_path / "clean")
+        clean = BatchCompiler(cache=clean_cache).run(jobs)
+        bad_payload = clean_cache.peek(fingerprint).to_bytes()[:-40]
+        tier = FakeTier()
+        tier.blobs[fingerprint] = bad_payload
+
+        probe = ScheduleCache(max_entries=4, directory=tmp_path / "probe", tiers=(tier,))
+        assert probe.lookup(fingerprint) == (None, None)
+        assert probe.stats.network_errors == 1 and probe.stats.network_hits == 0
+        assert len(probe) == 0 and probe.disk_entries() == 0
+
+        cache = ScheduleCache(max_entries=4, directory=tmp_path / "bad", tiers=(tier,))
+        result = BatchCompiler(cache=cache).run(jobs)
+        assert result.compilations == 1
+        assert result.records() == clean.records()
+        assert cache.stats.network_errors == 1 and cache.stats.network_hits == 0
+        # The one entry file holds the fresh compilation, not the bad payload.
+        (path,) = (tmp_path / "bad").glob("*.sched")
+        assert path.read_bytes() != bad_payload
+        # ... so a later run on the same directory is served from disk.
+        again = BatchCompiler(cache=ScheduleCache(directory=tmp_path / "bad")).run(jobs)
+        assert again.compilations == 0
+        assert again.records() == clean.records()
+
+    def test_store_bytes_refuses_a_truncated_schedule(self, entry):
+        cache = ScheduleCache(max_entries=4)
+        assert not cache.store_bytes(FP_A, entry.to_bytes()[:-40])
+        assert cache.peek(FP_A) is None
+        assert cache.store_bytes(FP_A, entry.to_bytes())
 
     def test_tier_miss_counts_and_falls_through(self, tmp_path):
         tier = FakeTier()

@@ -2,12 +2,14 @@
 
 Covers exact round-trips for every operation kind (hand-built and
 compiler-produced), a randomized fuzz over mixed-capacity devices, the
-checked-in golden blob that pins the wire format, and the corrupt-input
-error paths.
+checked-in golden blob that pins the wire format, the deferred
+construction of a decoded slab's gates, and the corrupt-input error
+paths (which must all raise from the decode call itself).
 """
 
 from __future__ import annotations
 
+import pickle
 import random
 from pathlib import Path
 
@@ -231,3 +233,117 @@ class TestErrors:
     def test_empty_input(self):
         with pytest.raises(ReproError):
             schedule_from_bytes(b"")
+
+    def test_trailing_bytes_rejected(self):
+        blob = schedule_to_bytes(every_kind_schedule())
+        with pytest.raises(ReproError, match="trailing bytes"):
+            schedule_from_bytes(blob + b"garbage!!")
+        with pytest.raises(ReproError, match="trailing bytes"):
+            schedule_from_bytes(blob + b"\x00")
+
+    def test_unknown_kind_code_rejected(self):
+        blob = bytearray(schedule_to_bytes(gates_only_schedule(NARROW_GATES)))
+        name_start, _ = gate_sections(bytes(blob), NARROW_GATES)
+        blob[name_start - 2] = 5  # the kinds column precedes the name column
+        with pytest.raises(ReproError, match="unknown operation kind"):
+            schedule_from_bytes(bytes(blob))
+
+
+def gates_only_schedule(gates: "list[Gate]") -> Schedule:
+    """A schedule of program gates only: its blob ends with the qubit
+    lists, one parameter-count varint per gate and the parameters."""
+    schedule = Schedule(star_device(3, 4), circuit_name="gates-only")
+    for gate in gates:
+        schedule.append(GateOperation(gate, trap=0, chain_length=2))
+    return schedule
+
+
+def gate_sections(blob: bytes, gates: "list[Gate]") -> "tuple[int, int]":
+    """(start of the name column, start of the qubit section) of a
+    parameter-free :func:`gates_only_schedule` blob."""
+    qubit_start = len(blob) - len(gates) - sum(1 + len(g.qubits) for g in gates)
+    return qubit_start - 16 * len(gates), qubit_start
+
+
+NARROW_GATES = [Gate("h", (0,)), Gate("cx", (0, 1)), Gate("cx", (2, 1)), Gate("x", (2,))]
+
+
+class TestDeferredGates:
+    def test_two_byte_qubit_index_round_trips(self):
+        wide = [
+            Gate("cx", (127, 128)),
+            Gate("h", (300,)),
+            Gate("cz", (70000, 5)),
+            Gate("u", (129,), tuple(float(i) for i in range(130))),
+        ]
+        schedule = gates_only_schedule(NARROW_GATES + wide)
+        blob = schedule_to_bytes(schedule)
+        rebuilt = schedule_from_bytes(blob)
+        assert rebuilt.slab.gates == schedule.slab.gates
+        assert_same_schedule(rebuilt, schedule)
+        assert schedule_to_bytes(rebuilt) == blob
+
+    def test_gates_are_built_on_first_access(self):
+        original = every_kind_schedule()
+        rebuilt = schedule_from_bytes(schedule_to_bytes(original))
+        assert rebuilt.slab._gates is None
+        assert rebuilt.count_summary() == original.count_summary()
+        assert rebuilt.slab._gates is None  # counters read only the kinds
+        gates = rebuilt.slab.gates
+        assert gates == original.slab.gates
+        assert rebuilt.slab.gates is gates  # loaded once
+
+    def test_lazy_gates_equal_eager_decode(self):
+        result = SSyncCompiler(grid_device(2, 2, 6)).compile(qft_circuit(12))
+        blob = schedule_to_bytes(result.schedule)
+        lazy = schedule_from_bytes(blob)
+        eager = schedule_from_bytes(blob)
+        eager_records = list(eager)  # materialises through .gates at once
+        assert lazy.slab.gates == result.schedule.slab.gates
+        assert list(lazy) == eager_records == list(result.schedule)
+
+    def test_decoded_slab_pickles(self):
+        original = every_kind_schedule()
+        rebuilt = schedule_from_bytes(schedule_to_bytes(original))
+        slab = pickle.loads(pickle.dumps(rebuilt.slab))
+        assert slab.gates == original.slab.gates
+        assert bytes(slab.kinds) == bytes(original.slab.kinds)
+        assert slab.shuttle_segments == original.slab.shuttle_segments
+        schedule = pickle.loads(pickle.dumps(schedule_from_bytes(schedule_to_bytes(original))))
+        assert_same_schedule(schedule, original)
+
+    def test_reencode_is_byte_identical_before_and_after_gates_are_read(self):
+        blob = schedule_to_bytes(every_kind_schedule())
+        assert schedule_to_bytes(schedule_from_bytes(blob)) == blob
+        rebuilt = schedule_from_bytes(blob)
+        assert len(rebuilt.slab.gates) == 3
+        assert schedule_to_bytes(rebuilt) == blob
+
+    def test_append_to_decoded_slab(self):
+        original = every_kind_schedule()
+        rebuilt = schedule_from_bytes(schedule_to_bytes(original))
+        extra = [
+            GateOperation(Gate("cz", (1, 5)), trap=3, chain_length=2, ion_separation=0),
+            SwapOperation(trap=0, qubit_a=0, qubit_b=1, chain_length=3),
+        ]
+        rebuilt.extend(extra)
+        original.extend(extra)
+        assert_same_schedule(rebuilt, original)
+        assert schedule_to_bytes(rebuilt) == schedule_to_bytes(original)
+
+    @pytest.mark.parametrize("gates", [NARROW_GATES, NARROW_GATES + [Gate("cx", (200, 3))]])
+    def test_truncation_in_the_qubit_section_raises_at_decode(self, gates):
+        blob = schedule_to_bytes(gates_only_schedule(gates))
+        _, qubit_start = gate_sections(blob, gates)
+        qubit_end = len(blob) - len(gates)
+        for cut in range(qubit_start, qubit_end):
+            with pytest.raises(ReproError, match="truncated"):
+                schedule_from_bytes(blob[:cut])
+
+    @pytest.mark.parametrize("index", [3, 7, -1])
+    def test_bad_name_index_raises_at_decode(self, index):
+        blob = bytearray(schedule_to_bytes(gates_only_schedule(NARROW_GATES)))
+        name_start, _ = gate_sections(bytes(blob), NARROW_GATES)
+        blob[name_start + 4 : name_start + 8] = index.to_bytes(4, "little", signed=True)
+        with pytest.raises(ReproError, match="unknown gate name"):
+            schedule_from_bytes(bytes(blob))
